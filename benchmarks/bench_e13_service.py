@@ -119,12 +119,19 @@ def drive(readers: int, directory: Path, seed: int = 13) -> dict:
             try:
                 start.wait(timeout=30)
                 for _ in range(PUBLISHES):
-                    with service.write_session("doc") as session:
+                    # Not a ``with`` block: a clean exit would publish a
+                    # second, witness-less generation right after the
+                    # timed one, and readers fast enough to open inside
+                    # that window would be checked against nothing.
+                    session = service.write_session("doc")
+                    try:
                         for _ in range(rng.randrange(1, 3)):
                             _edit(session.editor, rng)
                         t0 = time.perf_counter()
                         session.publish()
                         publish_latencies.append(time.perf_counter() - t0)
+                    finally:
+                        session.close()
                     witness[session.generation] = _witness(session.document)
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)

@@ -70,6 +70,7 @@ from .errors import (
     MarkupConflictError,
     PoolExhaustedError,
     PotentialValidityError,
+    ReadOnlySnapshotError,
     ReproError,
     SerializationError,
     ServiceError,
@@ -112,6 +113,7 @@ __all__ = [
     "PoolExhaustedError",
     "PotentialValidity",
     "PotentialValidityError",
+    "ReadOnlySnapshotError",
     "ReadSession",
     "ReproError",
     "Root",

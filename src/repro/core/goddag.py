@@ -26,12 +26,18 @@ Placement conventions (documented here once, relied upon everywhere):
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right, insort
 from contextlib import contextmanager
 from heapq import merge as heap_merge
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..errors import HierarchyError, MarkupConflictError, SpanError
+from ..errors import (
+    HierarchyError,
+    MarkupConflictError,
+    ReadOnlySnapshotError,
+    SpanError,
+)
 from ..obs.metrics import metrics as _metrics
 from .changes import ChangeRecord, InsertMarkup, RemoveMarkup, SetAttribute
 from .hierarchy import Hierarchy
@@ -87,6 +93,13 @@ class GoddagDocument:
         # a consumer that synced strictly inside such a range cannot be
         # bridged by the remaining records (see touch).
         self._journal_gaps: list[tuple[int, int]] = []
+        self._frozen = False
+        # Serializes the fills of the version-stamped caches (ordered
+        # elements, ordinal map, interval indexes).  Each fill re-checks
+        # under the lock and publishes its value before its version, so
+        # threads sharing a frozen document fill each cache exactly once
+        # and a filled cache is read without taking the lock.
+        self._fill_lock = threading.Lock()
         self._root = Root(self, root_tag)
 
     # -- identity & bookkeeping ------------------------------------------------
@@ -115,6 +128,36 @@ class GoddagDocument:
         """Monotone counter bumped by every structural or attribute change."""
         return self._version
 
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` made the document read-only."""
+        return self._frozen
+
+    def freeze(self) -> "GoddagDocument":
+        """Make the document read-only, so threads may share it.
+
+        Every mutator — :meth:`add_hierarchy`, :meth:`insert_element`,
+        :meth:`insert_empty_element`, :meth:`remove_element`,
+        :meth:`set_attribute`, :meth:`remove_attribute`, :meth:`touch`,
+        :meth:`attach_index` and :meth:`detach_index` — then raises
+        :class:`~repro.errors.ReadOnlySnapshotError` before it changes
+        anything.  The version never moves again, so each version-stamped
+        cache fills at most once.  The canonical element order is filled
+        here, before the document is shared: that fill also stamps every
+        element's cached order key, which has no lock of its own.
+        Freezing is permanent.
+        """
+        self.ordered_elements()
+        self._frozen = True
+        return self
+
+    def _check_writable(self) -> None:
+        if self._frozen:
+            raise ReadOnlySnapshotError(
+                "this document is a frozen read snapshot; edit it "
+                "through a write session"
+            )
+
     def touch(self, change: ChangeRecord | None = None) -> None:
         """Bump the document version (called by mutators).
 
@@ -129,6 +172,7 @@ class GoddagDocument:
         it resets the journal floor, forcing consumers behind it into a
         full rebuild (deltas could no longer reconstruct the state).
         """
+        self._check_writable()
         self._version += 1
         if change is None:
             if self._journal:
@@ -227,10 +271,12 @@ class GoddagDocument:
 
     def attach_index(self, manager) -> None:
         """Attach a query-acceleration index manager to this document."""
+        self._check_writable()
         self._index_manager = manager
 
     def detach_index(self) -> None:
         """Detach the index manager (queries return to unindexed paths)."""
+        self._check_writable()
         self._index_manager = None
 
     def _next_ordinal(self) -> int:
@@ -263,29 +309,33 @@ class GoddagDocument:
         if ordinal == 0:
             return self._root
         if self._ordinal_map_version != self._version:
-            changes = (
-                self.changes_since(self._ordinal_map_version)
-                if self._ordinal_map_version >= 0 else None
-            )
-            if changes is None:
-                self._ordinal_map = {
-                    element.ordinal: element
-                    for elements in self._h_all.values()
-                    for element in elements
-                }
-            else:
-                for change in changes:
-                    if isinstance(change, InsertMarkup):
-                        self._ordinal_map[change.ordinal] = change.element
-                    elif isinstance(change, RemoveMarkup):
-                        self._ordinal_map.pop(change.ordinal, None)
-            self._ordinal_map_version = self._version
+            with self._fill_lock:
+                if self._ordinal_map_version != self._version:
+                    changes = (
+                        self.changes_since(self._ordinal_map_version)
+                        if self._ordinal_map_version >= 0 else None
+                    )
+                    if changes is None:
+                        self._ordinal_map = {
+                            element.ordinal: element
+                            for elements in self._h_all.values()
+                            for element in elements
+                        }
+                    else:
+                        for change in changes:
+                            if isinstance(change, InsertMarkup):
+                                self._ordinal_map[change.ordinal] = \
+                                    change.element
+                            elif isinstance(change, RemoveMarkup):
+                                self._ordinal_map.pop(change.ordinal, None)
+                    self._ordinal_map_version = self._version
         return self._ordinal_map.get(ordinal)
 
     # -- hierarchies ---------------------------------------------------------------
 
     def add_hierarchy(self, name: str, dtd=None) -> Hierarchy:
         """Register a markup hierarchy; rank follows registration order."""
+        self._check_writable()
         if not name:
             raise HierarchyError("hierarchy name must be non-empty")
         if name in self._hierarchies:
@@ -434,10 +484,13 @@ class GoddagDocument:
         invalidates automatically on any mutation (version bump).
         """
         if self._ordered_cache_version != self._version:
-            from .navigation import order_key
+            with self._fill_lock:
+                if self._ordered_cache_version != self._version:
+                    from .navigation import order_key
 
-            self._ordered_cache = sorted(self.elements(), key=order_key)
-            self._ordered_cache_version = self._version
+                    self._ordered_cache = sorted(self.elements(),
+                                                 key=order_key)
+                    self._ordered_cache_version = self._version
         return self._ordered_cache
 
     def element_count(self, hierarchy: str | None = None) -> int:
@@ -470,9 +523,13 @@ class GoddagDocument:
     def _index(self, hierarchy: str) -> StaticIntervalIndex[Element]:
         index = self._h_index.get(hierarchy)
         if index is None:
-            solid = [e for e in self._h_all[hierarchy] if not e.is_empty]
-            index = StaticIntervalIndex(solid)
-            self._h_index[hierarchy] = index
+            with self._fill_lock:
+                index = self._h_index.get(hierarchy)
+                if index is None:
+                    solid = [e for e in self._h_all[hierarchy]
+                             if not e.is_empty]
+                    index = StaticIntervalIndex(solid)
+                    self._h_index[hierarchy] = index
         return index
 
     def _dirty(self, hierarchy: str, change: ChangeRecord | None = None) -> None:
@@ -647,6 +704,7 @@ class GoddagDocument:
         hierarchies is exactly what the data model exists for and is
         always allowed.
         """
+        self._check_writable()
         self.hierarchy(hierarchy)
         if start < 0 or end > self.length or start > end:
             raise SpanError(
@@ -713,6 +771,7 @@ class GoddagDocument:
         attributes: Mapping[str, str] | None = None,
     ) -> Element:
         """Insert a zero-width (milestone-like) element anchored at ``offset``."""
+        self._check_writable()
         if offset < 0 or offset > self.length:
             raise SpanError(f"anchor {offset} outside document")
         self._spans.add_boundary(offset)
@@ -724,6 +783,7 @@ class GoddagDocument:
         Leaf boundaries are never removed, so the leaf table stays a
         refinement of the minimal partition (harmless and cheap).
         """
+        self._check_writable()
         if element.is_root:
             raise MarkupConflictError("the shared root cannot be removed")
         hierarchy = element.hierarchy
@@ -767,6 +827,7 @@ class GoddagDocument:
         Attribute values are always strings, so ``old is None`` in the
         record encodes prior absence unambiguously.
         """
+        self._check_writable()
         old = element.attributes.get(name)
         element.attributes[name] = value
         self.touch(SetAttribute(element=element, name=name, value=value,
@@ -776,6 +837,7 @@ class GoddagDocument:
     def remove_attribute(self, element: Element, name: str) -> None:
         """Delete one attribute from ``element`` (tracked; missing names
         are a no-op mutation that still emits its record)."""
+        self._check_writable()
         old = element.attributes.pop(name, None)
         self.touch(SetAttribute(element=element, name=name, value=None,
                                 old=old)

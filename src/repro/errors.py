@@ -157,6 +157,12 @@ class SnapshotSupersededError(ServiceError):
         self.current = current
 
 
+class ReadOnlySnapshotError(ServiceError):
+    """A mutation was attempted on a frozen document — the shared
+    snapshot a read session serves.  Nothing was changed; edit through a
+    write session, which materializes a private, mutable copy."""
+
+
 class WriteConflictError(ServiceError):
     """A second writer published the document between this write
     session's open and its publish (they raced through different

@@ -169,7 +169,10 @@ class IndexManager:
         # snapshot the summary at one built version, so any catch-up or
         # rebuild drops them wholesale (see refresh/_catch_up).  The
         # term-occurrence arrays are text-keyed like the term index and
-        # therefore never invalidated.
+        # therefore never invalidated.  Threads sharing a frozen
+        # document's manager may fill one key at the same time: each
+        # entry is published with setdefault, so the first value wins
+        # and every caller gets that same object.
         self._vectors: dict = {}
         self._occ_arrays: dict[str, array] = {}
         if build:
@@ -254,10 +257,12 @@ class IndexManager:
             self._attrs = AttributeIndex.from_document(self.document)
             if self._terms is None:
                 self._terms = TermIndex.from_text(self.document.text)
-        self._built_version = self.document.version
-        self.build_count += 1
+        # Drop the old summary's flat-column snapshots before the new
+        # version is published, never after.
+        self._vectors.clear()
         self._pending = None  # a rebuild invalidates any delta backlog
-        self._vectors.clear()  # flat-column snapshots of the old summary
+        self.build_count += 1
+        self._built_version = self.document.version
         return self
 
     def _catch_up(self) -> bool:
@@ -299,10 +304,10 @@ class IndexManager:
                 f"more than {PersistDeltas.LIMIT} queued row operations",
             )
             self._pending = None
-        self._built_version = self.document.version
-        self.delta_count += len(changes)
         if changes:
             self._vectors.clear()  # flat-column snapshots of the old summary
+        self.delta_count += len(changes)
+        self._built_version = self.document.version
         metrics.incr("index.patches")
         metrics.incr("index.deltas_applied", len(changes))
         return True
@@ -446,8 +451,7 @@ class IndexManager:
             elements = self._structural.candidates_view(name, hierarchy)
             if elements is None:
                 return None
-            vector = CandidateVector(elements)
-            self._vectors[key] = vector
+            vector = self._vectors.setdefault(key, CandidateVector(elements))
         return vector
 
     def attr_vector(self, name: str, value: str) -> CandidateVector:
@@ -456,8 +460,9 @@ class IndexManager:
         key = ("attr", name, value)
         vector = self._vectors.get(key)
         if vector is None:
-            vector = CandidateVector(self.attr_candidates(name, value))
-            self._vectors[key] = vector
+            vector = self._vectors.setdefault(
+                key, CandidateVector(self.attr_candidates(name, value))
+            )
         return vector
 
     def attr_ordinal_set(self, name: str, value: str) -> frozenset[int]:
@@ -468,10 +473,9 @@ class IndexManager:
         key = ("attrset", name, value)
         members = self._vectors.get(key)
         if members is None:
-            members = frozenset(
+            members = self._vectors.setdefault(key, frozenset(
                 e.ordinal for e in self.attrs.candidates(name, value)
-            )
-            self._vectors[key] = members
+            ))
         return members
 
     def occurrence_array(self, needle: str) -> array:
@@ -479,8 +483,9 @@ class IndexManager:
         ``array('q')`` column (text-keyed, cached forever)."""
         occurrences = self._occ_arrays.get(needle)
         if occurrences is None:
-            occurrences = array("q", self.terms.occurrences(needle))
-            self._occ_arrays[needle] = occurrences
+            occurrences = self._occ_arrays.setdefault(
+                needle, array("q", self.terms.occurrences(needle))
+            )
         return occurrences
 
     def element(self, ordinal: int) -> "Element | None":

@@ -128,9 +128,9 @@ class TermIndex:
             return cached
         if not self.is_indexable(needle):
             raise ValueError(f"needle {needle!r} is not indexable")
-        out = occurrences_from_terms(self._postings.items(), needle)
-        self._occurrences[needle] = out
-        return out
+        return self._occurrences.setdefault(
+            needle, occurrences_from_terms(self._postings.items(), needle)
+        )
 
     def occurrences(self, needle: str) -> list[int]:
         """Sorted start offsets of every occurrence of ``needle`` in the

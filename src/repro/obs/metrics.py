@@ -89,20 +89,22 @@ class _Timer:
 
 
 class MetricsRegistry:
-    """Counters, timers, and histograms behind one enable switch.
+    """Counters, gauges, timers, and histograms behind one enable switch.
 
     All instruments auto-create on first use.  ``incr`` feeds counters,
-    ``observe`` feeds histograms (arbitrary float values — row counts,
-    fold ratios), and ``record_ns``/``time`` feed timers (durations,
-    kept in nanoseconds).  :meth:`snapshot` returns the whole census as
-    plain JSON-shaped data; :meth:`reset` zeroes everything but keeps
-    the enabled state.
+    ``gauge`` sets a gauge (the last value wins — a level such as a
+    cache's resident size), ``observe`` feeds histograms (arbitrary
+    float values — row counts, fold ratios), and ``record_ns``/``time``
+    feed timers (durations, kept in nanoseconds).  :meth:`snapshot`
+    returns the whole census as plain JSON-shaped data; :meth:`reset`
+    zeroes everything but keeps the enabled state.
     """
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {}
+        self._gauges: dict[str, float] = {}
         self._timers: dict[str, _Dist] = {}
         self._histograms: dict[str, _Dist] = {}
 
@@ -119,6 +121,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
+            self._gauges.clear()
             self._timers.clear()
             self._histograms.clear()
 
@@ -135,6 +138,13 @@ class MetricsRegistry:
             if reason is not None:
                 coded = f"{name}.{reason}"
                 self._counters[coded] = self._counters.get(coded, 0) + n
+
+    def gauge(self, name: str, value: float) -> None:
+        """Set gauge ``name`` to ``value`` (no-op while disabled)."""
+        if not self.enabled:
+            return
+        with self._lock:
+            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation (no-op while disabled)."""
@@ -176,6 +186,7 @@ class MetricsRegistry:
             return {
                 "enabled": self.enabled,
                 "counters": dict(sorted(self._counters.items())),
+                "gauges": dict(sorted(self._gauges.items())),
                 "timers": {
                     name: dist.to_dict()
                     for name, dist in sorted(self._timers.items())

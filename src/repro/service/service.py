@@ -8,18 +8,27 @@ database file to many threads, each of which works through short-lived
 The concurrency contract (the full version lives in
 docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 
-* **Nothing mutable is shared across sessions.**  Every session
-  materializes its own :class:`~repro.core.goddag.GoddagDocument` and
-  builds its own :class:`~repro.index.manager.IndexManager` — the same
-  per-evaluator isolation lxml's XPath layer uses (per-evaluator locks,
-  no shared mutable parser state).  The only cross-thread structures
-  are immutable snapshots, the locked compiled-plan cache, and the
-  database file itself (WAL mode: readers on other connections proceed
-  while a writer commits).
-* **Read sessions are snapshot-isolated.**  :meth:`read_session` loads
-  the document at one *generation* (the stored index stamp) and the
-  snapshot never changes afterwards — a writer publishing a new version
-  does not disturb open readers.  Staleness is observable, not imposed:
+* **Readers at one generation share one frozen snapshot; writers get a
+  private one.**  :meth:`read_session` probes the stored index stamp
+  (the document's *generation*) and serves the
+  :class:`~repro.core.goddag.GoddagDocument` and
+  :class:`~repro.index.manager.IndexManager` cached for exactly that
+  stamp; on a miss it materializes them (load, invariant check, index
+  build), freezes the document and caches the pair.  A frozen document
+  refuses every mutation with the typed
+  :class:`~repro.errors.ReadOnlySnapshotError`, and each of its lazy
+  caches (and its manager's) fills once, so concurrent readers cannot
+  disturb each other.  The cache is an LRU bounded by the total element count of
+  the documents it holds (:data:`SNAPSHOT_CACHE_ELEMENTS`); a publish
+  writes a new stamp, so the next open misses by construction.  Every
+  write session still materializes its own mutable document and
+  manager.  Beyond the snapshots, the cross-thread structures are the
+  locked compiled-plan cache and the database file itself (WAL mode:
+  readers on other connections proceed while a writer commits).
+* **Read sessions are snapshot-isolated.**  A read session answers at
+  the generation it opened on and its snapshot never changes
+  afterwards — a writer publishing a new version does not disturb open
+  readers.  Staleness is observable, not imposed:
   :meth:`ReadSession.is_current` / :meth:`ReadSession.require_current`
   surface a newer published generation as the typed
   :class:`~repro.errors.SnapshotSupersededError`; re-open to see it.
@@ -43,6 +52,11 @@ docs/ARCHITECTURE.md, "Service layer & concurrency contract"):
 
 Observability: session opens/closes land on the
 ``service.read_sessions.*`` / ``service.write_sessions.*`` counters,
+snapshot-cache lookups on ``service.snapshots.hits`` /
+``service.snapshots.misses``, removals on
+``service.snapshots.evictions`` (by reason: ``budget``, ``stale``,
+``delete``) and the cached element total on the
+``service.snapshots.elements`` gauge,
 publishes on ``service.publishes``, detected conflicts on
 ``service.conflicts``, superseded-snapshot checks on
 ``service.snapshot_checks`` / ``service.snapshots.superseded``, write
@@ -54,6 +68,7 @@ lock waits on the ``service.lock_wait`` timer, and the pool reports
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from pathlib import Path
 
 from ..core.goddag import GoddagDocument
@@ -75,10 +90,95 @@ from ..xpath.evaluator import XPathValue
 #: change mid-load; each publish between the two stamp probes retries.
 _SNAPSHOT_ATTEMPTS = 8
 
+#: Budget of the read-snapshot cache, in elements: the frozen documents
+#: it holds total at most this many ``element_count()`` (about 1 KB of
+#: Python objects per element, document and index together).  Sized on
+#: the perfbench edition-read workload (24 manuscripts of 1.5k-6k
+#: elements, Zipf reads): 30k elements served 54-63% of the opens from
+#: the cache for +6% peak RSS, where 20k served 48% and 40k cost up to
+#: +20% RSS.  A budget counted in documents would let a few large
+#: manuscripts grow the footprint without bound.
+SNAPSHOT_CACHE_ELEMENTS = 30_000
+
+
+class _SnapshotCache:
+    """Frozen read snapshots: at most one (generation, document,
+    manager) entry per document name, LRU-evicted to keep the total
+    element count within :data:`SNAPSHOT_CACHE_ELEMENTS`.
+
+    An entry serves only the generation it was loaded at.  A lookup at
+    another generation drops it (generation stamps are never reused, so
+    it can never hit again).  Only non-empty stamps are cached: ``None``
+    (no stored index) and ``""`` (an index written outside a session)
+    do not name a generation.  A snapshot larger than the whole budget
+    is served uncached.  One lock guards the map and the element total.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[
+            str, tuple[str, GoddagDocument, IndexManager, int]
+        ] = OrderedDict()
+        self._elements = 0
+        self._lock = threading.Lock()
+
+    def get(self, name: str, generation: str | None
+            ) -> tuple[GoddagDocument, IndexManager] | None:
+        """The cached pair for ``name`` at ``generation``, or ``None``."""
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is not None and entry[0] != generation:
+                self._drop(name, "stale")
+                entry = None
+            if entry is not None:
+                self._entries.move_to_end(name)
+        metrics.incr(
+            "service.snapshots.hits" if entry is not None
+            else "service.snapshots.misses"
+        )
+        return None if entry is None else (entry[1], entry[2])
+
+    def put(self, name: str, generation: str | None,
+            document: GoddagDocument, manager: IndexManager
+            ) -> tuple[GoddagDocument, IndexManager]:
+        """Cache a frozen pair; returns the pair readers should use (an
+        equal-generation entry another thread cached first wins)."""
+        size = document.element_count()
+        if not generation or size > SNAPSHOT_CACHE_ELEMENTS:
+            return document, manager
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is not None and entry[0] == generation:
+                self._entries.move_to_end(name)
+                return entry[1], entry[2]
+            if entry is not None:
+                self._drop(name, "stale")
+            self._entries[name] = (generation, document, manager, size)
+            self._elements += size
+            while self._elements > SNAPSHOT_CACHE_ELEMENTS:
+                self._drop(next(iter(self._entries)), "budget")
+            metrics.gauge("service.snapshots.elements", self._elements)
+        return document, manager
+
+    def evict(self, name: str) -> None:
+        with self._lock:
+            if name in self._entries:
+                self._drop(name, "delete")
+                metrics.gauge("service.snapshots.elements", self._elements)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._elements = 0
+            metrics.gauge("service.snapshots.elements", 0)
+
+    def _drop(self, name: str, reason: str) -> None:
+        self._elements -= self._entries.pop(name)[3]
+        metrics.incr("service.snapshots.evictions", reason=reason)
+
 
 class _Session:
-    """State shared by read and write sessions: one private snapshot
-    document, one private index manager, one generation mark.
+    """State shared by read and write sessions: one snapshot document,
+    its index manager, one generation mark.
 
     A session object is **not** thread-safe — it belongs to the thread
     that opened it (the service itself is thread-safe and cheap to open
@@ -150,11 +250,14 @@ class _Session:
 class ReadSession(_Session):
     """A snapshot-isolated read view of one stored document.
 
-    The snapshot is a private materialization: queries run on it with a
-    per-session :class:`~repro.index.manager.IndexManager`, sharing no
-    mutable state with any other session, and keep answering at the
-    session's :attr:`generation` no matter how many writers publish
-    after it opened.
+    Readers at one generation share one frozen snapshot: the
+    :attr:`document` and its :class:`~repro.index.manager.IndexManager`
+    are cached by the service and handed to every read session opened
+    while the stored generation is unchanged.  The document refuses
+    mutation with :class:`~repro.errors.ReadOnlySnapshotError` — edit
+    through a write session, which gets a private copy.  A read session
+    keeps answering at its :attr:`generation` no matter how many
+    writers publish after it opened.
     """
 
     def close(self) -> None:
@@ -261,6 +364,7 @@ class DocumentService:
         self._locks_guard = threading.Lock()
         self._corpus = None
         self._corpus_guard = threading.Lock()
+        self._snapshots = _SnapshotCache()
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -351,6 +455,7 @@ class DocumentService:
         try:
             with self._pool.connection() as backend:
                 GoddagStore.over(backend).delete(name)
+            self._snapshots.evict(name)
         finally:
             lock.release()
 
@@ -367,13 +472,23 @@ class DocumentService:
     def read_session(self, name: str) -> ReadSession:
         """Open a snapshot-isolated read session (see :class:`ReadSession`).
 
-        The database connection is borrowed only for the snapshot load;
-        the returned session holds no pooled resources, so any number
-        of read sessions may be open at once.
+        One stamp probe finds the stored generation; a snapshot cached
+        at that generation is served as is.  Otherwise the document is
+        loaded (invariants checked), indexed, frozen and cached.  The
+        database connection is borrowed only for the probe and the
+        load; the returned session holds no pooled resources, so any
+        number of read sessions may be open at once.
         """
         with self._pool.connection() as backend:
-            document, generation = self._snapshot(backend, name)
-        manager = IndexManager(document).attach()
+            generation = backend.index_stamp(name)
+            cached = self._snapshots.get(name, generation)
+            if cached is None:
+                document, generation = self._snapshot(backend, name)
+        if cached is None:
+            manager = IndexManager(document).attach()
+            document.freeze()
+            cached = self._snapshots.put(name, generation, document, manager)
+        document, manager = cached
         metrics.incr("service.read_sessions.opened")
         return ReadSession(self, name, document, manager, generation)
 
@@ -424,6 +539,7 @@ class DocumentService:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
+        self._snapshots.clear()
         with self._corpus_guard:
             if self._corpus is not None:
                 self._corpus.close()  # executors only; the pool is ours

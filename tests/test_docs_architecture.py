@@ -128,3 +128,18 @@ def test_observability_identifiers_are_real():
     from repro.xpath import ExtendedXPath
 
     assert "analyze" in inspect.signature(ExtendedXPath.explain).parameters
+
+
+def test_service_identifiers_are_real():
+    """Spot-check the identifiers the Service section leans on."""
+    from repro.core.goddag import GoddagDocument
+    from repro.errors import ReadOnlySnapshotError, ServiceError
+    from repro.obs.metrics import MetricsRegistry
+    from repro.service.service import SNAPSHOT_CACHE_ELEMENTS, _SnapshotCache
+
+    assert hasattr(GoddagDocument, "freeze")
+    assert issubclass(ReadOnlySnapshotError, ServiceError)
+    assert SNAPSHOT_CACHE_ELEMENTS > 0
+    for name in ("get", "put", "evict", "clear"):
+        assert hasattr(_SnapshotCache, name), name
+    assert hasattr(MetricsRegistry, "gauge")

@@ -105,9 +105,18 @@ class TestMetricsRegistry:
         registry.incr("a")
         registry.observe("b", 1.0)
         registry.record_ns("c", 100)
+        registry.gauge("d", 5.0)
         snap = registry.snapshot()
-        assert snap["counters"] == {}
+        assert snap["counters"] == {} and snap["gauges"] == {}
         assert snap["timers"] == {} and snap["histograms"] == {}
+
+    def test_gauge_keeps_the_last_value(self):
+        registry = MetricsRegistry(enabled=True)
+        registry.gauge("cache.elements", 10)
+        registry.gauge("cache.elements", 4)
+        assert registry.snapshot()["gauges"] == {"cache.elements": 4}
+        registry.reset()
+        assert registry.snapshot()["gauges"] == {}
 
     def test_reason_coded_counters(self):
         registry = MetricsRegistry(enabled=True)

@@ -1,6 +1,6 @@
 """Concurrency harness for the document service.
 
-Two layers of coverage over :class:`repro.service.DocumentService`:
+Three layers of coverage over :class:`repro.service.DocumentService`:
 
 * **Semantics** (single-threaded): snapshot isolation, supersession
   reporting, write-conflict detection across service instances, write
@@ -14,6 +14,10 @@ Two layers of coverage over :class:`repro.service.DocumentService`:
   oracle arm of the differential harness) of the same expression
   against the published document of that generation.  Any divergence,
   deadlock (joins are bounded), or stray exception fails the test.
+* **Shared snapshot**: ``SHARED_READERS`` threads query the one frozen
+  snapshot the service caches for a generation, all at once and with
+  every lazy cache still cold; each answer must equal the unindexed
+  witness.
 
 Seeds scale with ``REPRO_DIFF_SEEDS`` like the differential harness;
 the nightly job raises it 10x.
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import threading
 
 import pytest
 
+import repro.core.goddag as goddag_module
 from repro import DocumentService
 from repro.errors import (
     MarkupConflictError,
@@ -354,6 +360,65 @@ def _stress(service, seed: int) -> None:
     # with 8 readers polling continuously they must observe more than
     # one generation.
     assert len(generations_seen) > 1
+
+
+#: Threads querying one shared cached snapshot at the same time.
+SHARED_READERS = 4
+
+
+def test_threads_share_one_cached_snapshot(service, monkeypatch):
+    """Readers at one generation get the same frozen document; querying
+    it from several threads at once — every lazy cache of the document
+    and its manager still cold — answers exactly like the unindexed
+    witness, and each interval index of the document is built once."""
+    built: list[int] = []
+
+    class CountingIndex(goddag_module.StaticIntervalIndex):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(goddag_module, "StaticIntervalIndex", CountingIndex)
+    base = _seed_doc()
+    service.create(base, "doc")
+    witness = _witness_answers(base)
+    with service.read_session("doc") as first:
+        shared = first.document
+    built.clear()
+    start = threading.Barrier(SHARED_READERS)
+    results: list[tuple] = []
+    errors: list[BaseException] = []
+
+    def reading(reader_seed: int):
+        rng = random.Random(reader_seed)
+        try:
+            with service.read_session("doc") as session:
+                assert session.document is shared
+                start.wait(timeout=30)
+                for _ in range(3):
+                    for query in rng.sample(QUERIES, len(QUERIES)):
+                        results.append((query.expression, snapshot(
+                            session.query(query.expression))))
+        except BaseException as exc:  # noqa: BLE001 - surfaced by the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reading, args=(n,))
+               for n in range(SHARED_READERS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' cache fills
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(results) == SHARED_READERS * 3 * len(QUERIES)
+    for expression, answer in results:
+        assert answer == witness[expression], expression
+    assert 0 < len(built) <= len(shared.hierarchy_names())
 
 
 @pytest.mark.parametrize("seed", [5000 + n for n in range(SEEDS)])
