@@ -5,10 +5,21 @@ per-document expression against each of them in one of three execution
 modes — ``serial``, ``thread``, ``process`` — and guarantees the merged
 answer is **byte-identical** across all three:
 
-* every document is loaded under the service's snapshot discipline
-  (stamp → load → stamp, retried when a writer publishes in between),
-  so a result row set is always internally consistent with the
-  generation it reports;
+* every visit reads under the service's snapshot discipline (stamp →
+  read → stamp, retried when a writer publishes in between), so a
+  result row set is always internally consistent with the generation
+  it reports;
+* a per-document expression of the
+  :class:`~repro.xpath.shapes.DescendantTagShape` family (``//tag``,
+  ``//h:tag``, one optional ``[@a='v']``) is answered from the
+  member's stored element rows by
+  :meth:`~repro.streaming.lazy.LazyDocument.shape_rows` — no decode, no
+  document build.  Every other visit loads the member
+  (:func:`snapshot_load`) and evaluates it with the classic engine,
+  reason-coded on the ``collection.visit`` fallback metric:
+  ``unsupported-shape``, ``root-tag`` (the shared root is not an
+  element row), ``no-index`` or ``unstamped`` (only a non-empty index
+  stamp names a generation);
 * node results are flattened to plain comparable tuples
   (:func:`node_rows`) — picklable for the process pool and
   order-stable, since the evaluator already emits document order;
@@ -35,8 +46,10 @@ from ..obs import fallback as _obs_fallback
 from ..obs.metrics import metrics
 from ..storage.sqlite_backend import SqliteStore
 from ..storage.store import GoddagStore
+from ..streaming.lazy import LazyDocument
 from ..xpath.axes import AttributeNode, DocumentNode
 from ..xpath.engine import ExtendedXPath
+from ..xpath.shapes import DescendantTagShape, descendant_tag_shape
 
 _SNAPSHOT_ATTEMPTS = 8
 
@@ -59,6 +72,31 @@ def snapshot_load(backend: SqliteStore, name: str):
     raise ServiceError(
         f"document {name!r} kept being republished while opening "
         f"a snapshot ({_SNAPSHOT_ATTEMPTS} attempts)"
+    )
+
+
+def snapshot_rows(backend: SqliteStore, name: str,
+                  shape: DescendantTagShape) -> tuple[str, tuple] | None:
+    """``(generation, rows)`` for ``shape`` served from the member's
+    element rows under the discipline of :func:`snapshot_load`, or
+    ``None`` — reported on the ``collection.visit`` fallback metric —
+    when the member has to be loaded instead."""
+    for _ in range(_SNAPSHOT_ATTEMPTS):
+        before = backend.index_stamp(name)
+        if not before:
+            reason = "no-index" if before is None else "unstamped"
+        else:
+            lazy = LazyDocument(backend, name)
+            reason = lazy.row_fallback(shape)
+        if reason is not None:
+            _obs_fallback("collection.visit", reason, detail=name)
+            return None
+        rows = lazy.shape_rows(shape)
+        if backend.index_stamp(name) == before:
+            return before, rows
+    raise ServiceError(
+        f"document {name!r} kept being republished while reading "
+        f"its rows ({_SNAPSHOT_ATTEMPTS} attempts)"
     )
 
 
@@ -97,16 +135,30 @@ def evaluate_documents(
     """Evaluate ``expression`` per document over one borrowed
     connection; returns ``(name, generation, rows)`` triples.
 
-    Evaluation runs the classic unindexed engine (``index=False``): the
-    answers are identical by the index contract, and a cold
-    per-document manager build would dominate a one-shot visit.
+    Row-servable shapes are answered by :func:`snapshot_rows`; every
+    other visit loads the member and runs the classic unindexed engine
+    (``index=False``): the answers are identical by the index contract,
+    and a cold per-document manager build would dominate a one-shot
+    visit.
     """
     query = ExtendedXPath(expression)
+    shape = descendant_tag_shape(query.ast)
     out = []
     for name in names:
-        document, generation = snapshot_load(backend, name)
-        value = query.evaluate(document, index=False)
-        out.append((name, generation, node_rows(value)))
+        served = None
+        if shape is None:
+            _obs_fallback("collection.visit", "unsupported-shape",
+                          detail=name)
+        else:
+            served = snapshot_rows(backend, name, shape)
+        if served is None:
+            metrics.incr("collection.visits.loaded")
+            document, generation = snapshot_load(backend, name)
+            value = query.evaluate(document, index=False)
+            served = generation, node_rows(value)
+        else:
+            metrics.incr("collection.visits.row_served")
+        out.append((name, *served))
     return out
 
 
@@ -183,4 +235,5 @@ def _merge(names: list[str], results) -> list:
 
 __all__ = [
     "evaluate_documents", "node_rows", "run_fanout", "snapshot_load",
+    "snapshot_rows",
 ]

@@ -395,7 +395,7 @@ class SqliteStore:
         return decode_document(doc_row, hierarchy_rows, element_rows)
 
     def delete(self, name: str) -> None:
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
 
         def transaction() -> None:
             with self._conn:
@@ -432,10 +432,20 @@ class SqliteStore:
         doc_id, name, root_tag, text, root_attributes = row
         return doc_id, DocumentRow(name, root_tag, text, root_attributes)
 
+    def _doc_id(self, name: str) -> int:
+        """The ``doc_id`` of ``name`` — a probe that, unlike
+        :meth:`_document_row`, never reads the document text."""
+        row = self._conn.execute(
+            "SELECT doc_id FROM documents WHERE name = ?", (name,),
+        ).fetchone()
+        if row is None:
+            raise StorageError(f"no stored document {name!r}")
+        return row[0]
+
     # -- storage-level queries (no reconstruction) --------------------------------------
 
     def count_elements(self, name: str, tag: str | None = None) -> int:
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         if tag is None:
             query = "SELECT COUNT(*) FROM elements WHERE doc_id = ?"
             (count,) = self._conn.execute(query, (doc_id,)).fetchone()
@@ -445,7 +455,7 @@ class SqliteStore:
         return count
 
     def elements_by_tag(self, name: str, tag: str) -> list[StoredElement]:
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         return [
             _stored(row)
             for row in self._conn.execute(
@@ -459,7 +469,7 @@ class SqliteStore:
         self, name: str, start: int, end: int
     ) -> list[StoredElement]:
         """Solid elements sharing at least one character with [start, end)."""
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         return [
             _stored(row)
             for row in self._conn.execute(
@@ -479,7 +489,7 @@ class SqliteStore:
         :meth:`~repro.core.goddag.GoddagDocument.element_by_ordinal`)
         in any later one.
         """
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         row = self._conn.execute(
             "SELECT elem_id, hierarchy, tag, start, end, attributes"
             " FROM elements WHERE doc_id = ? AND elem_id = ?",
@@ -491,7 +501,7 @@ class SqliteStore:
         self, name: str, tag_a: str, tag_b: str
     ) -> list[tuple[StoredElement, StoredElement]]:
         """All properly-overlapping (tag_a, tag_b) pairs, by SQL self-join."""
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         rows = self._conn.execute(
             """
             SELECT a.elem_id, a.hierarchy, a.tag, a.start, a.end, a.attributes,
@@ -527,7 +537,7 @@ class SqliteStore:
         key shares the same token bytes), so each candidate is confirmed
         by one ``json.loads``.
         """
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         cursor = self._conn.cursor()
         try:
             cursor.execute(
@@ -552,7 +562,7 @@ class SqliteStore:
 
     def text_of(self, name: str, start: int, end: int) -> str:
         """A text window, served straight from the database."""
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         (fragment,) = self._conn.execute(
             "SELECT substr(text, ?, ?) FROM documents WHERE doc_id = ?",
             (start + 1, end - start, doc_id),
@@ -568,7 +578,7 @@ class SqliteStore:
 
     def save_index(self, name: str, payload: dict, stamp: str = "") -> None:
         """Persist an ``IndexManager.payload()`` for a stored document."""
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
 
         def transaction() -> None:
             with self._conn:
@@ -633,7 +643,7 @@ class SqliteStore:
 
     def hierarchy_names_of(self, name: str) -> list[str]:
         """Hierarchy names in rank (declaration) order."""
-        doc_id, *_ = self.document_meta(name)
+        doc_id = self._doc_id(name)
         return [
             hname for (hname,) in self._conn.execute(
                 "SELECT name FROM hierarchies WHERE doc_id = ?"
@@ -647,7 +657,7 @@ class SqliteStore:
     def element_row_full(self, name: str, elem_id: int) -> ElementRow | None:
         """The full schema row for one element — one keyed probe of the
         ``(doc_id, elem_id)`` primary key — or ``None``."""
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         row = self._conn.execute(
             f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
             " WHERE doc_id = ? AND elem_id = ?", (doc_id, elem_id),
@@ -665,7 +675,7 @@ class SqliteStore:
         filters by parent-chain reachability, since an overlapping
         hierarchy sibling can share the interval.
         """
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         return [
             ElementRow(*row) for row in self._conn.execute(
                 f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
@@ -687,7 +697,7 @@ class SqliteStore:
         still confirm the match on the decoded attribute dict (the
         needle never false-negatives, but may false-positive).
         """
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         query = (f"SELECT {self._ELEMENT_ROW_COLS} FROM elements"
                  " WHERE doc_id = ? AND tag = ?")
         params: list = [doc_id, tag]
@@ -869,11 +879,14 @@ class SqliteStore:
         """The generation stamp of the persisted index (empty for one
         written outside an editing session), or ``None`` when no index
         is stored."""
-        doc_id, _ = self._document_row(name)
         row = self._conn.execute(
-            "SELECT stamp FROM index_meta WHERE doc_id = ?", (doc_id,)
+            "SELECT m.stamp FROM documents d"
+            " LEFT JOIN index_meta m USING (doc_id) WHERE d.name = ?",
+            (name,),
         ).fetchone()
-        return row[0] if row else None
+        if row is None:
+            raise StorageError(f"no stored document {name!r}")
+        return row[0]
 
     def route_documents(self, features) -> list[str]:
         """The names of every document that *can* match a query with
@@ -1201,7 +1214,7 @@ class SqliteStore:
         return self._doc_index_row(name)[1]
 
     def drop_index(self, name: str) -> None:
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
 
         def transaction() -> None:
             with self._conn:
@@ -1218,7 +1231,7 @@ class SqliteStore:
 
     def load_index(self, name: str) -> dict | None:
         """The full persisted payload, or None when no index is stored."""
-        doc_id, _ = self._document_row(name)
+        doc_id = self._doc_id(name)
         meta = self._conn.execute(
             "SELECT format, doc_length FROM index_meta WHERE doc_id = ?",
             (doc_id,),

@@ -10,10 +10,13 @@ stored document that fetches rows only as they are asked for:
   parent-chain reachability selects the members);
 - :meth:`LazyDocument.text` slices stored text by offset in SQL;
 - :meth:`LazyDocument.xpath` answers row-servable queries (see
-  :mod:`repro.xpath.shapes`) straight from the element rows, hydrating
-  only candidates that can actually appear in the answer, and falls
-  back to a full materialized evaluation — reported on the
-  ``streaming.lazy_xpath`` fallback metric — for every other shape.
+  :mod:`repro.xpath.shapes`) straight from the element rows through
+  :meth:`LazyDocument.shape_rows`, hydrating only candidates that can
+  actually appear in the answer, and falls back to a full materialized
+  evaluation — reported on the ``streaming.lazy_xpath`` fallback
+  metric — for every other shape and for a shape naming the root tag.
+  Collection fan-out (:mod:`repro.collection.fanout`) serves its visits
+  through the same :meth:`LazyDocument.shape_rows`.
 
 Results are :func:`repro.collection.fanout.node_rows`-shaped tuples, so
 a lazy answer can be compared byte-for-byte against a materialized
@@ -34,7 +37,7 @@ from ..storage.schema import ROOT_ID, ElementRow
 from ..xpath.engine import ExtendedXPath
 from ..xpath.optimizer import optimize
 from ..xpath.parser import parse_xpath
-from ..xpath.shapes import descendant_tag_shape
+from ..xpath.shapes import DescendantTagShape, descendant_tag_shape
 
 
 @dataclass(frozen=True)
@@ -151,36 +154,64 @@ class LazyDocument:
         """Evaluate ``expression``, hydrating as little as possible.
 
         Row-servable shapes (``//tag``, ``//h:tag``, one optional
-        ``[@a='v']`` predicate — after optimization) are answered from
-        the tag-indexed element rows, decoding only the candidates the
-        SQL prefilter admits.  Everything else falls back to a full
-        materialized evaluation.  Either way the result is the
-        ``node_rows`` tuple encoding of the engine's answer.
+        ``[@a='v']`` predicate — after optimization) are answered by
+        :meth:`shape_rows`.  Everything else — and every shape
+        :meth:`row_fallback` rejects — falls back to a full materialized
+        evaluation.  Either way the result is the ``node_rows`` tuple
+        encoding of the engine's answer.
         """
-        ast = optimize(parse_xpath(expression))
-        shape = descendant_tag_shape(ast)
+        shape = descendant_tag_shape(optimize(parse_xpath(expression)))
+        reason = self.row_fallback(shape)
+        if reason is None and not self._backend.has_index(self._name):
+            reason = "no-index"
+        if reason is not None:
+            return self._xpath_materialized(expression, reason)
+        return self.shape_rows(shape)
+
+    def row_fallback(self, shape: DescendantTagShape | None) -> str | None:
+        """Why :meth:`shape_rows` cannot answer ``shape``, or ``None``.
+
+        ``"unsupported-shape"`` when the query is not a
+        :class:`~repro.xpath.shapes.DescendantTagShape`;
+        ``"root-tag"`` when an unqualified shape names the root tag —
+        the shared root is reachable by ``//tag`` but is not an element
+        row, so the rows alone would miss it.
+        """
         if shape is None:
-            return self._xpath_materialized(expression, "unsupported-shape")
-        if not self._backend.has_index(self._name):
-            return self._xpath_materialized(expression, "no-index")
+            return "unsupported-shape"
+        if shape.hierarchy is None and shape.tag == self.root_tag:
+            return "root-tag"
+        return None
+
+    def shape_rows(self, shape: DescendantTagShape) -> tuple:
+        """The ``node_rows`` answer to ``shape``, served from the
+        tag-indexed element rows: only the candidates the SQL prefilter
+        admits are hydrated, and each one's attribute JSON is decoded
+        once.  ``shape`` must pass :meth:`row_fallback`."""
+        reason = self.row_fallback(shape)
+        if reason is not None:
+            raise StorageError(
+                f"{shape} cannot be served from element rows ({reason})"
+            )
         with metrics.time("lazy.xpath_rows"):
             rows = self._backend.element_rows_by_tag(
                 self._name, shape.tag, hierarchy=shape.hierarchy,
                 attr=shape.attr, value=shape.value,
             )
             survivors = []
+            attributes: dict[int, tuple] = {}
             for row in rows:
                 self._remember(row)
-                if shape.attr is not None:
-                    attributes = json.loads(row.attributes)
-                    if attributes.get(shape.attr) != shape.value:
-                        continue  # instr prefilter false positive
+                decoded = json.loads(row.attributes)
+                if (shape.attr is not None
+                        and decoded.get(shape.attr) != shape.value):
+                    continue  # instr prefilter false positive
                 survivors.append(row)
+                attributes[row.elem_id] = tuple(sorted(decoded.items()))
             ordered = self._document_order(survivors)
         return tuple(
             ("element", row.elem_id, row.hierarchy, row.tag,
-             row.start, row.end,
-             tuple(sorted(json.loads(row.attributes).items())))
+             row.start, row.end, attributes[row.elem_id])
             for row in ordered
         )
 

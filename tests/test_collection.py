@@ -14,6 +14,7 @@ import struct
 
 import pytest
 
+import repro.obs as obs
 from repro import Corpus, DocumentService, GoddagStore
 from repro.collection import routing_features, split_collection_expression
 from repro.collection.fanout import node_rows
@@ -298,6 +299,142 @@ def test_node_rows_covers_scalars_and_attributes():
     attr_nodes = ExtendedXPath("//line/@n").evaluate(doc, index=False)
     rows = node_rows(attr_nodes)
     assert rows and all(row[0] == "attribute" for row in rows)
+
+
+# -- row-served visits -------------------------------------------------------------
+
+
+def _add_unstamped_members(path) -> None:
+    """One member with no stored index (a plain ``GoddagStore.save``)
+    and one whose index carries the empty stamp (``build_index``
+    outside an editing session): neither stamp names a generation."""
+    backend = SqliteStore(str(path), wal=True)
+    try:
+        store = GoddagStore.over(backend)
+        store.save(generate(WorkloadSpec(words=25, hierarchies=4, seed=77)),
+                   "unstamped")
+        store.save(generate(WorkloadSpec(words=25, hierarchies=3, seed=78)),
+                   "empty-stamp")
+        store.build_index("empty-stamp")
+    finally:
+        backend.close()
+
+
+ROW_QUERIES = (
+    "collection()//line",
+    "collection()//res",
+    "collection()//physical:line",
+    "collection()//verse:line",
+    "collection()//vline[@n='2']",
+    "collection()//w[@n='1']",
+    "collection()//r",
+    "collection()//r[@n='1']",
+)
+
+
+def test_row_served_visits_agree_across_routing_modes_and_stamps(
+        corpus, tmp_path):
+    path = tmp_path / "corpus.db"
+    _add_unstamped_members(path)
+    assert corpus.generation("unstamped") is None
+    assert corpus.generation("empty-stamp") == ""
+    for expression in ROW_QUERIES:
+        routed = corpus.query(expression)
+        unrouted = corpus.query(expression, routing=False)
+        threaded = corpus.query(expression, mode="thread", workers=3)
+        process = corpus.query(expression, mode="process", workers=2)
+        witness = _witness(path, expression)
+        assert routed.hits == unrouted.hits == witness, expression
+        assert routed.hits == threaded.hits == process.hits, expression
+        assert routed.documents == threaded.documents == process.documents
+    assert corpus.query("collection()//r", routing=False).hits
+
+
+def test_routed_row_shape_visits_load_no_member(corpus, monkeypatch):
+    loads = []
+    load = SqliteStore.load
+
+    def counting_load(self, name):
+        loads.append(name)
+        return load(self, name)
+
+    monkeypatch.setattr(SqliteStore, "load", counting_load)
+    for expression in ("collection()//res", "collection()//vline[@n='2']",
+                       "collection()//physical:line"):
+        for mode in ("serial", "thread"):
+            result = corpus.query(expression, mode=mode, workers=3)
+            assert result.plan.routed_count > 0 and len(result) > 0
+    assert loads == []
+    corpus.query("collection()//line/@n")
+    assert len(loads) == 8
+
+
+def test_row_visit_retries_when_a_publish_lands_between_stamp_probes(
+        tmp_path, monkeypatch):
+    corpus = Corpus(tmp_path / "c.db", pool_size=2)
+    old = generate(WorkloadSpec(words=30, hierarchies=2, seed=5))
+    new = generate(WorkloadSpec(words=60, hierarchies=2, seed=6))
+    first = corpus.add(old, "d")
+    probes = []
+    publishing = []
+    stamp_of = SqliteStore.index_stamp
+
+    def racing_stamp(self, name):
+        stamp = stamp_of(self, name)
+        if not publishing:  # the writer's own probes are not recorded
+            probes.append(stamp)
+        if len(probes) == 1 and not publishing:
+            # A writer publishes right after the visit's first probe.
+            publishing.append(True)
+            corpus.add(new, "d", overwrite=True)
+            publishing.clear()
+        return stamp
+
+    try:
+        monkeypatch.setattr(SqliteStore, "index_stamp", racing_stamp)
+        result = corpus.query("collection()//line")
+        monkeypatch.undo()
+        second = corpus.generation("d")
+        assert second and second != first
+        # A mismatch after the first read, so the visit retries and
+        # both probes of the second attempt see the new generation.
+        assert probes == [first, second, second, second]
+        assert result.documents == (("d", second),)
+        want = node_rows(ExtendedXPath("//line").evaluate(new, index=False))
+        assert result.rows_by_document["d"] == want
+        assert want != node_rows(
+            ExtendedXPath("//line").evaluate(old, index=False))
+    finally:
+        corpus.close()
+
+
+def test_visit_metrics_split_row_served_from_loaded(corpus, tmp_path):
+    _add_unstamped_members(tmp_path / "corpus.db")
+
+    def counters(expression: str) -> dict:
+        obs.reset()
+        corpus.query(expression, routing=False)
+        return obs.metrics.snapshot()["counters"]
+
+    obs.reset()
+    obs.enable()
+    try:
+        got = counters("collection()//line")
+        assert got["collection.visits.row_served"] == 8
+        assert got["collection.visits.loaded"] == 2
+        assert got["collection.visit"] == 2
+        assert got["collection.visit.no-index"] == 1
+        assert got["collection.visit.unstamped"] == 1
+        got = counters("collection()//line/@n")
+        assert "collection.visits.row_served" not in got
+        assert got["collection.visits.loaded"] == 10
+        assert got["collection.visit.unsupported-shape"] == 10
+        got = counters("collection()//r")
+        assert got["collection.visits.loaded"] == 10
+        assert got["collection.visit.root-tag"] == 8
+    finally:
+        obs.disable()
+        obs.reset()
 
 
 # -- stats -------------------------------------------------------------------------

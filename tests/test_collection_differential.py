@@ -59,6 +59,9 @@ QUERIES = (
     "collection()//line/contained::w",
     "collection()//seg | //note",
     "collection()//line[seg or note]",
+    "collection()//r",
+    "collection()//physical:line",
+    "collection()//line[@resp='2']",
 )
 
 
@@ -76,6 +79,14 @@ def _build_corpus(service: DocumentService, rng: random.Random) -> list[str]:
         name = f"doc-{i}"
         service.create(generate(spec), name)
         names.append(name)
+    # An instr prefilter false positive for //line[@resp='2']: the
+    # JSON holds both the '"resp"' and the '"2"' tokens, but not as
+    # one pair.
+    with service.write_session(names[0]) as session:
+        line = next(element for element in session.document.elements()
+                    if element.tag == "line"
+                    and element.attributes.get("n") == "2")
+        session.editor.set_attribute(line, "resp", "7")
     return names
 
 
@@ -100,6 +111,7 @@ def _check_batch(service: DocumentService) -> None:
         witness = _witness(service, expression)
         assert routed.hits == unrouted.hits == witness, expression
         assert routed.hits == threaded.hits == process.hits, expression
+        assert routed.documents == threaded.documents == process.documents
         assert routed.plan.routed_count <= unrouted.plan.routed_count
     # Maintenance invariant: the delta-patched summary rows equal the
     # from-scratch derivation for every document.

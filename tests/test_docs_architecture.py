@@ -99,8 +99,9 @@ def test_streaming_identifiers_are_real():
     assert hasattr(GoddagStore, "save_stream")
     assert hasattr(GoddagStore, "lazy")
     assert hasattr(Corpus, "add_streams")
-    for name in ("xpath", "subtree", "text"):
+    for name in ("xpath", "subtree", "text", "shape_rows", "row_fallback"):
         assert hasattr(LazyDocument, name), name
+    from repro.collection.fanout import snapshot_load, snapshot_rows  # noqa: F401
     from repro.xpath.shapes import descendant_tag_shape  # noqa: F401
 
 

@@ -51,6 +51,7 @@ from repro.streaming import (
 from repro.streaming import ingest as ingest_mod
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath.engine import ExtendedXPath
+from repro.xpath.shapes import descendant_tag_shape
 
 #: Hand-built torture case: entities, numeric references, CDATA,
 #: comments, empty elements, attributes on the root — two hierarchies
@@ -472,6 +473,74 @@ class TestLazyDocument:
         finally:
             obs.disable()
             obs.reset()
+
+    @pytest.mark.parametrize("query", ["//r", "//r[@n='1']"])
+    def test_root_tag_falls_back(self, lazy_fixture, query):
+        """The shared root is reachable by ``//r`` but is not an element
+        row: a row-served answer would drop it."""
+        backend, reference = lazy_fixture
+        assert reference.root.tag == "r"
+        want = node_rows(ExtendedXPath(query).evaluate(reference,
+                                                       index=False))
+        obs.reset()
+        obs.enable()
+        try:
+            assert tuple(LazyDocument(backend, "doc").xpath(query)) == want
+            counters = obs.metrics.snapshot()["counters"]
+            assert counters.get("streaming.lazy_xpath.root-tag") == 1
+        finally:
+            obs.disable()
+            obs.reset()
+
+    @pytest.mark.parametrize("query, hits", [
+        ("//d", 1), ("//d[@x='1']", 1), ("//d[@x='2']", 0), ("//a:d", 0),
+        ("//w[@x='1']", 0),
+    ])
+    def test_root_tag_with_root_attributes(self, tmp_path, query, hits):
+        path = str(tmp_path / "hand.db")
+        save_streaming(HAND, path)
+        backend = SqliteStore(path)
+        try:
+            lazy = LazyDocument(backend, "doc")
+            want = node_rows(ExtendedXPath(query).evaluate(
+                parse_concurrent(HAND), index=False))
+            assert len(want) == hits
+            assert tuple(lazy.xpath(query)) == want
+        finally:
+            backend.close()
+
+    def test_shape_rows_refuses_the_root_tag(self, lazy_fixture):
+        backend, _ = lazy_fixture
+        lazy = LazyDocument(backend, "doc")
+        assert lazy.row_fallback(descendant_tag_shape(
+            ExtendedXPath("//r").ast)) == "root-tag"
+        assert lazy.row_fallback(None) == "unsupported-shape"
+        with pytest.raises(StorageError):
+            lazy.shape_rows(descendant_tag_shape(ExtendedXPath("//r").ast))
+
+    def test_row_accessors_never_read_the_text(self, lazy_fixture,
+                                                monkeypatch):
+        backend, reference = lazy_fixture
+
+        def text_fetch(self, name):
+            raise AssertionError("the document text was fetched")
+
+        monkeypatch.setattr(SqliteStore, "_document_row", text_fetch)
+        lazy = LazyDocument(backend, "doc")
+        want = node_rows(ExtendedXPath("//line").evaluate(reference,
+                                                          index=False))
+        assert tuple(lazy.xpath("//line")) == want
+        assert lazy.subtree(want[0][1]).root.tag == "line"
+        assert backend.index_stamp("doc") is not None
+        for probe in (
+            lambda: backend.element_rows_by_tag("missing", "line"),
+            lambda: backend.element_row_full("missing", 1),
+            lambda: backend.element_rows_in_span("missing", "h", 0, 1),
+            lambda: backend.hierarchy_names_of("missing"),
+            lambda: backend.index_stamp("missing"),
+        ):
+            with pytest.raises(StorageError, match="no stored document"):
+                probe()
 
     def test_subtree_identity(self, lazy_fixture):
         backend, reference = lazy_fixture
