@@ -9,7 +9,7 @@ The three pieces of the collection layer (see docs/ARCHITECTURE.md,
 * :mod:`.router` — necessary-condition feature extraction against the
   delta-maintained ``collection_summary`` table, so a selective query
   visits only the documents that can match;
-* :mod:`.fanout` — serial / threaded / process per-document execution
+* :mod:`.fanout` — serial / process per-document execution
   with byte-identical merged answers.
 """
 

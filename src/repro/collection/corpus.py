@@ -21,9 +21,8 @@ consulted so only candidate documents are visited — latency scales
 with the matching subset, not the corpus.  Routing never changes
 answers (pruned documents are exactly those that must return nothing);
 ``routing=False`` visits every document and produces byte-identical
-rows.  Execution fans out per document in serial, threaded, or
-process mode (:mod:`repro.collection.fanout`) with identical merged
-results.
+rows.  Execution fans out per document in serial or process mode
+(:mod:`repro.collection.fanout`) with identical merged results.
 
 Every mutation goes through ``GoddagStore.save_indexed``, so documents
 are always indexed on arrival and the collection summary is maintained
@@ -32,7 +31,7 @@ as a delta — adding or editing one document never rescans the corpus.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,9 +146,8 @@ class Corpus:
             acquire_timeout_s=pool_timeout_s,
         )
         self._owns_pool = True
-        self._thread_pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessPoolExecutor | None = None
-        self._executor_workers = 0
+        self._process_workers = 0
 
     @classmethod
     def over(cls, pool: SqliteConnectionPool) -> "Corpus":
@@ -159,9 +157,8 @@ class Corpus:
         corpus = cls.__new__(cls)
         corpus._pool = pool
         corpus._owns_pool = False
-        corpus._thread_pool = None
         corpus._process_pool = None
-        corpus._executor_workers = 0
+        corpus._process_workers = 0
         return corpus
 
     @property
@@ -312,8 +309,8 @@ class Corpus:
 
         ``routing=False`` skips the collection summary and visits every
         document; ``mode`` selects the fan-out execution
-        (``serial``/``thread``/``process``).  The merged rows are
-        byte-identical across every combination.
+        (``serial``/``process``).  The merged rows are byte-identical
+        across every combination.
         """
         with metrics.time("collection.query"):
             plan = self.explain(expression, routing=routing)
@@ -322,14 +319,14 @@ class Corpus:
             metrics.incr("collection.pruned", plan.pruned)
             names = list(plan.routed)
             workers = workers or 0
-            thread_pool = process_pool = None
-            if mode in ("thread", "process"):
-                thread_pool, process_pool = self._executors(workers)
+            process_pool = None
+            if mode == "process":
+                process_pool = self._process_executor(workers)
             triples = run_fanout(
                 self._pool, names, plan.per_document,
                 mode=mode, workers=workers or None,
                 process_pool=process_pool,
-                thread_pool=thread_pool,
+                discard_pool=self._discard_process_pool,
             )
         return CollectionResult(
             plan=plan,
@@ -343,40 +340,37 @@ class Corpus:
             },
         )
 
-    def _executors(self, workers: int):
-        """Lazily created, reusable thread/process pools (the process
-        fallback path needs the thread pool too)."""
+    def _process_executor(self, workers: int) -> ProcessPoolExecutor | None:
+        """The lazily created, reusable process pool (``None`` when one
+        cannot be created on this platform)."""
         import os
 
         if workers <= 0:
             workers = min(4, len(os.sched_getaffinity(0)) or 1)
-        if self._executor_workers and workers > self._executor_workers:
-            self._shutdown_executors()
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="corpus-fanout"
-            )
-            self._executor_workers = workers
+        if self._process_pool is not None and workers > self._process_workers:
+            self._discard_process_pool(wait=True)
         if self._process_pool is None:
             try:
                 self._process_pool = ProcessPoolExecutor(max_workers=workers)
+                self._process_workers = workers
             except (OSError, ValueError):
                 self._process_pool = None
-        return self._thread_pool, self._process_pool
+        return self._process_pool
 
-    def _shutdown_executors(self) -> None:
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
+    def _discard_process_pool(self, wait: bool = False) -> None:
+        """Shut the process pool down and forget it — after a worker
+        died (a broken pool never recovers), on a wider ``workers``
+        request, or on close — so the next process query creates a
+        fresh one."""
         if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
+            self._process_pool.shutdown(wait=wait)
             self._process_pool = None
-        self._executor_workers = 0
+        self._process_workers = 0
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        self._shutdown_executors()
+        self._discard_process_pool(wait=True)
         if self._owns_pool:
             self._pool.close()
 

@@ -1,9 +1,9 @@
 """Per-document fan-out for cross-document queries.
 
 One routed query visits many documents; this module evaluates the
-per-document expression against each of them in one of three execution
-modes — ``serial``, ``thread``, ``process`` — and guarantees the merged
-answer is **byte-identical** across all three:
+per-document expression against each of them in one of two execution
+modes — ``serial`` or ``process`` — and guarantees the merged answer is
+**byte-identical** across both:
 
 * every visit reads under the service's snapshot discipline (stamp →
   read → stamp, retried when a writer publishes in between), so a
@@ -30,14 +30,16 @@ Process workers re-open the store read-only from the database *path*
 (one cached connection per worker process — never a connection
 inherited across ``fork``, which SQLite forbids).  When a process pool
 cannot be used (no ``fork``/spawn support, pickling trouble, a broken
-pool), the fan-out falls back to threads and reports itself on the
-``collection.fanout`` fallback metric rather than failing the query.
+pool), the fan-out runs serially and reports itself on the
+``collection.fanout`` fallback metric rather than failing the query; a
+broken pool is handed back to its owner to discard, so the next query
+gets a fresh one.  (There is no thread mode: visits hold the GIL, and
+threads never beat serial execution on the corpus-search workload.)
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from ..core.node import Element
@@ -176,54 +178,47 @@ def _worker_chunk(
 
 def run_fanout(pool, names: list[str], expression: str, *,
                mode: str = "serial", workers: int | None = None,
-               process_pool=None, thread_pool=None
+               process_pool=None, discard_pool=None
                ) -> list[tuple[str, str | None, tuple]]:
     """Fan ``expression`` out over ``names`` and merge the answers back
     in the caller's name order (the stable ``(doc, document-order)``
     contract — identical whatever mode ran).
 
     ``pool`` is the corpus's :class:`SqliteConnectionPool`; ``mode`` is
-    ``"serial"``, ``"thread"`` or ``"process"``; ``process_pool`` /
-    ``thread_pool`` are reusable executors owned by the caller.
+    ``"serial"`` or ``"process"``; ``process_pool`` is a reusable
+    executor owned by the caller, and ``discard_pool`` (when given) is
+    called once that executor is found broken, so the owner can drop it.
     """
-    if mode not in ("serial", "thread", "process"):
+    if mode not in ("serial", "process"):
         raise ServiceError(
-            f"unknown fan-out mode {mode!r}: use 'serial', 'thread' "
-            "or 'process'"
+            f"unknown fan-out mode {mode!r}: use 'serial' or 'process'"
         )
     if workers is None:
         workers = min(4, len(os.sched_getaffinity(0)) or 1)
-    if mode == "serial" or workers <= 1 or len(names) <= 1:
-        with metrics.time("collection.fanout.serial"):
-            with pool.connection() as backend:
-                return evaluate_documents(backend, names, expression)
-    chunks = [names[i::workers] for i in range(workers) if names[i::workers]]
-    if mode == "process" and process_pool is None:
-        _obs_fallback("collection.fanout", "process-unavailable",
-                      "no process pool could be created")
-        mode = "thread"
-    if mode == "process":
-        try:
-            with metrics.time("collection.fanout.process"):
-                results = list(process_pool.map(
-                    _worker_chunk,
-                    [pool.path] * len(chunks),
-                    chunks,
-                    [expression] * len(chunks),
-                ))
-            return _merge(names, results)
-        except (BrokenProcessPool, OSError, ImportError) as exc:
+    if mode == "process" and workers > 1 and len(names) > 1:
+        if process_pool is None:
             _obs_fallback("collection.fanout", "process-unavailable",
-                          str(exc))
-            mode = "thread"
-
-    def chunk_on_pool(chunk: list[str]):
+                          "no process pool could be created")
+        else:
+            chunks = [names[i::workers] for i in range(workers)
+                      if names[i::workers]]
+            try:
+                with metrics.time("collection.fanout.process"):
+                    results = list(process_pool.map(
+                        _worker_chunk,
+                        [pool.path] * len(chunks),
+                        chunks,
+                        [expression] * len(chunks),
+                    ))
+                return _merge(names, results)
+            except (BrokenProcessPool, OSError, ImportError) as exc:
+                _obs_fallback("collection.fanout", "process-unavailable",
+                              str(exc))
+                if isinstance(exc, BrokenProcessPool) and discard_pool:
+                    discard_pool()
+    with metrics.time("collection.fanout.serial"):
         with pool.connection() as backend:
-            return evaluate_documents(backend, chunk, expression)
-
-    with metrics.time("collection.fanout.thread"):
-        results = list(thread_pool.map(chunk_on_pool, chunks))
-    return _merge(names, results)
+            return evaluate_documents(backend, names, expression)
 
 
 def _merge(names: list[str], results) -> list:

@@ -282,9 +282,9 @@ class GoddagDocument:
     def _next_ordinal(self) -> int:
         """The next birth ordinal (1-based; the shared root is 0).
 
-        Ordinals are the document's *persistent identity*: storage
-        backends persist them as ``elem_id`` and reconstruction restores
-        them, so the counter must never re-issue a loaded value.  The
+        Ordinals are the document's *persistent identity*: sqlite rows
+        and GDAG1 archives persist them as ``elem_id`` and reconstruction
+        restores them, so the counter must never re-issue a loaded value.  The
         builder bumps ``_ordinal`` past the maximum explicit ordinal
         before materializing (see :meth:`GoddagBuilder.build`), which
         keeps ``save → load → edit`` sessions collision-free.

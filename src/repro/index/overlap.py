@@ -6,16 +6,16 @@ hierarchy.  Those structures live and die with the document object; this
 module is their *persistent* counterpart: per-hierarchy
 :class:`~repro.index.kernels.IntervalTable` columns — parallel sorted
 ``array('q')`` arrays of ``(start, end, ordinal)`` plus a tag list —
-that serialize to storage (SQLite rows or a binary ``.gidx`` sidecar)
-and answer stabbing, intersection and proper-overlap queries on
-*stored* documents without materializing a single GODDAG node — the
+whose :meth:`OverlapIndex.payload` the sqlite backend stores as interval
+rows, so stabbing, intersection and proper-overlap queries on *stored*
+documents answer without materializing a single GODDAG node — the
 overlap-index design of Hasibi & Bratsberg applied to the framework's
 storage layer.
 
-Queries run through the table's implicit max-end segment tree, so a
-reloaded index keeps the ``O(log n + k)`` bound of the in-memory one,
-with the same anchored zero-width semantics (shared edge-case fixtures
-in ``tests/test_kernels.py`` pin both paths to the
+Queries run through the table's implicit max-end segment tree in
+``O(log n + k)``, with the same anchored zero-width semantics as the
+in-memory index (shared edge-case fixtures in ``tests/test_kernels.py``
+pin both paths to the
 :class:`~repro.core.intervals.StaticIntervalIndex` contract).
 """
 
@@ -196,7 +196,7 @@ class OverlapIndex:
 
     def payload(self) -> dict[str, dict[str, list]]:
         """JSON-shaped form: ``{hierarchy: {starts, ends, tags}}`` (the
-        ordinal column is in-memory only; reloaded tables answer
+        ordinal column is in-memory only; stored interval rows answer
         :class:`SpanHit` queries, which never need element identity)."""
         return {
             name: {
@@ -206,20 +206,6 @@ class OverlapIndex:
             }
             for name, table in self.tables.items()
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, dict[str, list]]) -> "OverlapIndex":
-        return cls(
-            {
-                name: HierarchyIntervals(
-                    name,
-                    list(entry["starts"]),
-                    list(entry["ends"]),
-                    list(entry["tags"]),
-                )
-                for name, entry in payload.items()
-            }
-        )
 
 
 def _hit_key(hit: SpanHit) -> tuple[int, int, str, str]:

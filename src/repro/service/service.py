@@ -523,9 +523,7 @@ class DocumentService:
             # publish writes document and index in one stamped
             # transaction), so delta accounting can start here: the
             # session's publish row-patches instead of rewriting.
-            manager.mark_persisted(
-                ("sqlite", self.location, name, generation)
-            )
+            manager.mark_persisted((self.location, name, generation))
             session = WriteSession(
                 self, name, document, manager, generation, lock,
                 prevalidate=prevalidate,

@@ -1,10 +1,13 @@
 """Persistent storage for GODDAG documents (the paper's "underway" part).
 
-Two backends behind one facade:
-
-* SQLite — multi-document stores, SQL-side span/overlap queries;
-* GDAG1 binary files — one document per file, fixed-width element table
-  scannable without loading the document.
+* :class:`GoddagStore` over SQLite — many named documents per database,
+  row-level saves, persisted indexes and SQL-side span/overlap queries;
+  every layer above (service, corpus, streaming ingest, lazy loading)
+  builds on it;
+* GDAG1 binary files — the one-document archive and export format, with
+  a fixed-width element table scannable without loading the document
+  (:func:`save_file`, :func:`load_file`, :func:`scan_spans`,
+  :func:`file_stats`).
 """
 
 from .binary_backend import file_stats, load_file, save_file, scan_spans

@@ -1,4 +1,4 @@
-"""A struct-packed single-file store for one GODDAG document.
+"""GDAG1: the struct-packed single-file archive of one GODDAG document.
 
 Format (versioned magic, little-endian):
 
@@ -26,13 +26,12 @@ identity-stable encode per-save preorder numbers instead; loading one
 simply adopts those numbers as the ordinals, so old files stay fully
 readable.
 
-The element table is fixed-width, so :func:`scan_spans` can answer span
-queries — and :func:`read_element` keyed handle lookups — by reading
+GDAG1 is the archive and export format beside the sqlite store:
+export with ``save_file(store.load(name), path, name)``, import with
+``store.save(load_file(path), name)``.  The element table is
+fixed-width, so :func:`scan_spans` can answer span queries by reading
 the header + table only, the storage-level access of experiment E7
-without SQLite.  Index sidecars (``.gidx``) are managed by the store
-facade: ``GoddagStore.save_indexed`` re-stamps the sidecar from the
-index manager's in-memory payload alongside each document write, so an
-editing session never pays a load-and-rebuild to keep it fresh.
+without SQLite.
 """
 
 from __future__ import annotations
@@ -62,14 +61,12 @@ class BinaryHeader:
     element_count: int
     text_bytes: int
     attrs_bytes: int
-    #: True when the record table is strictly increasing in ``elem_id``,
-    #: letting :func:`read_element` bisect the fixed-width table with
-    #: O(log n) seeks instead of scanning every record.  Records are in
-    #: per-hierarchy preorder, so this holds for freshly built documents
-    #: but not necessarily after edits (a late-born element keeps its
-    #: high ordinal wherever it nests); the writer checks and records
-    #: the truth.  Files written before the flag existed default to
-    #: False and keep the scan path — old artifacts stay readable.
+    #: True when the record table is strictly increasing in ``elem_id``
+    #: (true for freshly built documents, not necessarily after edits: a
+    #: late-born element keeps its high ordinal wherever it nests).
+    #: Informational — no reader here consults it — but still written,
+    #: so the archive bytes stay stable across versions; files written
+    #: before the flag existed default to False.
     ids_sorted: bool = False
 
 
@@ -191,14 +188,6 @@ def load_file(path: str | Path) -> GoddagDocument:
     return decode_document(doc_row, hierarchy_rows, element_rows)
 
 
-def read_text(path: str | Path) -> str:
-    """The document text alone: header + text region, element table and
-    attribute blob untouched."""
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        return fh.read(header.text_bytes).decode("utf-8")
-
-
 def scan_spans(
     path: str | Path, start: int, end: int
 ) -> list[tuple[str, str, int, int]]:
@@ -225,73 +214,6 @@ def scan_spans(
                 )
             )
     return out
-
-
-def read_element(
-    path: str | Path, elem_id: int
-) -> tuple[str, str, int, int, dict[str, str]] | None:
-    """Resolve a persistent element id against the stored table.
-
-    Returns ``(hierarchy, tag, start, end, attributes)`` for the record
-    whose ``elem_id`` matches, or ``None`` — the binary backend's half
-    of the cross-session node handle (``GoddagStore.element``).
-
-    When the header records a strictly id-sorted table
-    (``ids_sorted``), the lookup bisects the fixed-width records with
-    O(log n) seek-and-unpack probes instead of reading the whole table
-    — the single-handle access stops being O(rows).  Tables written
-    unsorted (edited documents, pre-flag files) keep the full scan.
-    Either way only the matching record's attribute line is read from
-    the blob; the text region is skipped and no document is
-    materialized.
-    """
-    with open(path, "rb") as fh:
-        header = _read_header(fh)
-        table_start = fh.tell() + header.text_bytes
-        attrs_start = table_start + header.element_count * _RECORD.size
-        if header.ids_sorted:
-            metrics.incr("storage.element_probe.bisect")
-            lo, hi = 0, header.element_count - 1
-            while lo <= hi:
-                mid = (lo + hi) // 2
-                fh.seek(table_start + mid * _RECORD.size)
-                record = _RECORD.unpack(fh.read(_RECORD.size))
-                if record[0] == elem_id:
-                    return _record_handle(fh, header, attrs_start, record)
-                if record[0] < elem_id:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            return None
-        metrics.incr("storage.element_probe.scan")
-        fh.seek(table_start)
-        table = fh.read(header.element_count * _RECORD.size)
-        for record in _RECORD.iter_unpack(table):
-            if record[0] == elem_id:
-                return _record_handle(fh, header, attrs_start, record)
-    return None
-
-
-def _record_handle(
-    fh, header: BinaryHeader, attrs_start: int, record: tuple
-) -> tuple[str, str, int, int, dict[str, str]]:
-    """Materialize one unpacked record into the ``read_element`` result,
-    fetching its attribute line from the blob by absolute offset."""
-    _, h_idx, tag_idx, start, end, _, attrs_offset = record
-    attributes: dict[str, str] = {}
-    if attrs_offset != _NO_ATTRS:
-        fh.seek(attrs_start + attrs_offset)
-        encoded = fh.read(header.attrs_bytes - attrs_offset)
-        attributes = json.loads(
-            encoded[: encoded.index(b"\n")].decode("utf-8")
-        )
-    return (
-        header.hierarchies[h_idx]["name"],
-        header.tags[tag_idx],
-        start,
-        end,
-        attributes,
-    )
 
 
 def file_stats(path: str | Path) -> dict[str, int]:

@@ -303,8 +303,8 @@ def fn_element_by_id(context, args):
     such element exists.
 
     The query-language face of the cross-session node-handle contract:
-    ids survive ``save → load`` on both storage backends, so a handle
-    recorded in one session resolves keyedly here in any later one —
+    ids survive ``save → load`` in sqlite stores and GDAG1 archives, so a
+    handle recorded in one session resolves keyedly here in any later one —
     no positional re-matching against spans or document order.  (The
     shared root is deliberately not addressable: ``id 0`` yields the
     empty set, like any other unknown id.)

@@ -10,6 +10,8 @@ arm of the same property lives in ``test_collection_differential.py``.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import struct
 
 import pytest
@@ -18,7 +20,6 @@ import repro.obs as obs
 from repro import Corpus, DocumentService, GoddagStore
 from repro.collection import routing_features, split_collection_expression
 from repro.collection.fanout import node_rows
-from repro.editing import Editor
 from repro.errors import ServiceError, StorageError
 from repro.index.manager import IndexManager
 from repro.storage import binary_backend
@@ -281,15 +282,44 @@ def test_fanout_modes_byte_identical(corpus):
     for expression in ("collection()//line", "collection()//vline",
                        "collection()//line/@n"):
         serial = corpus.query(expression, mode="serial")
-        threaded = corpus.query(expression, mode="thread", workers=3)
         process = corpus.query(expression, mode="process", workers=2)
-        assert serial.hits == threaded.hits == process.hits, expression
-        assert serial.documents == threaded.documents == process.documents
+        assert serial.hits == process.hits, expression
+        assert serial.documents == process.documents
 
 
 def test_fanout_rejects_unknown_mode(corpus):
-    with pytest.raises(ServiceError):
-        corpus.query("collection()//line", mode="fiber")
+    for mode in ("fiber", "thread"):
+        with pytest.raises(ServiceError):
+            corpus.query("collection()//line", mode=mode)
+
+
+def test_broken_process_pool_is_replaced(corpus):
+    """A worker killed under the pool breaks it for good: the query
+    that finds it broken falls back to serial once, and the next
+    process query runs on a fresh pool instead of falling back again."""
+    expression = "collection()//line/@n"
+    serial = corpus.query(expression, mode="serial")
+    assert corpus.query(expression, mode="process", workers=2).hits == \
+        serial.hits
+    broken = corpus._process_pool
+    assert broken is not None
+    for process in list(broken._processes.values()):
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=10)
+    obs.reset()
+    obs.enable()
+    try:
+        fallback = corpus.query(expression, mode="process", workers=2)
+        fresh = corpus.query(expression, mode="process", workers=2)
+        counters = obs.metrics.snapshot()["counters"]
+    finally:
+        obs.disable()
+        obs.reset()
+    assert counters["collection.fanout.process-unavailable"] == 1
+    assert corpus._process_pool is not None
+    assert corpus._process_pool is not broken
+    assert fallback.hits == fresh.hits == serial.hits
+    assert fallback.documents == fresh.documents == serial.documents
 
 
 def test_node_rows_covers_scalars_and_attributes():
@@ -341,12 +371,11 @@ def test_row_served_visits_agree_across_routing_modes_and_stamps(
     for expression in ROW_QUERIES:
         routed = corpus.query(expression)
         unrouted = corpus.query(expression, routing=False)
-        threaded = corpus.query(expression, mode="thread", workers=3)
         process = corpus.query(expression, mode="process", workers=2)
         witness = _witness(path, expression)
         assert routed.hits == unrouted.hits == witness, expression
-        assert routed.hits == threaded.hits == process.hits, expression
-        assert routed.documents == threaded.documents == process.documents
+        assert routed.hits == process.hits, expression
+        assert routed.documents == process.documents
     assert corpus.query("collection()//r", routing=False).hits
 
 
@@ -361,9 +390,8 @@ def test_routed_row_shape_visits_load_no_member(corpus, monkeypatch):
     monkeypatch.setattr(SqliteStore, "load", counting_load)
     for expression in ("collection()//res", "collection()//vline[@n='2']",
                        "collection()//physical:line"):
-        for mode in ("serial", "thread"):
-            result = corpus.query(expression, mode=mode, workers=3)
-            assert result.plan.routed_count > 0 and len(result) > 0
+        result = corpus.query(expression)
+        assert result.plan.routed_count > 0 and len(result) > 0
     assert loads == []
     corpus.query("collection()//line/@n")
     assert len(loads) == 8
@@ -468,13 +496,24 @@ def test_store_corpus_stats_sqlite(tmp_path):
 
 
 def test_store_corpus_stats_binary(tmp_path):
-    store = GoddagStore(tmp_path / "docs", backend="binary")
-    store.save(generate(WorkloadSpec(words=20, hierarchies=2, seed=3)), "a")
-    store.save(generate(WorkloadSpec(words=25, hierarchies=2, seed=4)), "b")
-    stats = store.stats()
-    assert stats["source"] == "storage.corpus"
-    assert stats["counts"]["collection.documents"] == 2
-    assert stats["counts"]["collection.total_bytes"] > 0
+    """A store filled from GDAG1 archives (the import path) reports the
+    same corpus counts as the store the archives were exported from."""
+    source = GoddagStore(tmp_path / "source.db")
+    target = GoddagStore(tmp_path / "target.db")
+    try:
+        for seed, name in ((3, "a"), (4, "b")):
+            source.save(generate(WorkloadSpec(words=20 + seed, hierarchies=2,
+                                              seed=seed)), name)
+            archive = tmp_path / f"{name}.gdag"
+            binary_backend.save_file(source.load(name), archive, name)
+            target.save(binary_backend.load_file(archive), name)
+        stats = target.stats()
+        assert stats["source"] == "storage.corpus"
+        assert stats["counts"]["collection.documents"] == 2
+        assert stats["counts"] == source.stats()["counts"]
+    finally:
+        source.close()
+        target.close()
 
 
 # -- service integration -----------------------------------------------------------
@@ -492,40 +531,31 @@ def test_service_collection_query_shares_the_pool(tmp_path):
     service.close()
 
 
-# -- binary read_element probe (satellite) -----------------------------------------
+# -- GDAG1 archive headers --------------------------------------------------------
 
 
 def test_binary_probe_matches_scan(tmp_path):
+    """An element handle probed in a store the document was imported
+    into from its GDAG1 archive answers exactly as the archive's own
+    table scan and the original element."""
     doc = generate(WorkloadSpec(words=60, hierarchies=3, seed=7))
     target = tmp_path / "d.gdag"
     binary_backend.save_file(doc, target, "d")
-    with open(target, "rb") as fh:
-        header = binary_backend._read_header(fh)
-    assert header.ids_sorted
-    for element in doc.elements():
-        assert binary_backend.read_element(target, element.elem_id) == (
-            element.hierarchy, element.tag, element.start, element.end,
-            element.attributes,
-        )
-    assert binary_backend.read_element(target, 10 ** 6) is None
-    assert binary_backend.read_element(target, 0) is None  # the root
-
-
-def test_binary_probe_falls_back_when_ids_unsorted(tmp_path):
-    doc = generate(WorkloadSpec(words=60, hierarchies=3, seed=8))
-    words = sorted(doc.elements(tag="w"), key=lambda e: e.start)
-    Editor(doc).insert_markup("linguistic", "phrase",
-                              words[1].start, words[3].end)
-    target = tmp_path / "d.gdag"
-    binary_backend.save_file(doc, target, "d")
-    with open(target, "rb") as fh:
-        header = binary_backend._read_header(fh)
-    assert not header.ids_sorted  # late ordinal nested mid-table
-    for element in doc.elements():
-        assert binary_backend.read_element(target, element.elem_id) == (
-            element.hierarchy, element.tag, element.start, element.end,
-            element.attributes,
-        )
+    scanned = set(binary_backend.scan_spans(target, 0, doc.length))
+    with GoddagStore(tmp_path / "s.db") as store:
+        store.save(binary_backend.load_file(target), "d")
+        for element in doc.elements():
+            probed = store.element("d", element.elem_id)
+            assert (probed.hierarchy, probed.tag, probed.start, probed.end,
+                    probed.attributes) == (
+                element.hierarchy, element.tag, element.start, element.end,
+                element.attributes,
+            )
+            if element.start < element.end:
+                assert (probed.hierarchy, probed.tag, probed.start,
+                        probed.end) in scanned
+        assert store.element("d", 10 ** 6) is None
+        assert store.element("d", 0) is None  # the root
 
 
 def test_binary_pre_flag_headers_stay_readable(tmp_path):
@@ -541,10 +571,11 @@ def test_binary_pre_flag_headers_stay_readable(tmp_path):
         b"GDAG1\n" + struct.pack("<I", len(old_header)) + old_header
         + raw[10 + header_length:]
     )
+    loaded = binary_backend.load_file(target)
+    assert loaded.element_count() == doc.element_count()
     element = max(doc.elements(), key=lambda e: len(e.attributes))
-    assert binary_backend.read_element(target, element.elem_id) == (
-        element.hierarchy, element.tag, element.start, element.end,
-        element.attributes,
-    )
-    assert binary_backend.load_file(target).element_count() == \
-        doc.element_count()
+    twin = loaded.element_by_ordinal(element.elem_id)
+    assert (twin.hierarchy, twin.tag, twin.start, twin.end,
+            twin.attributes) == (element.hierarchy, element.tag,
+                                 element.start, element.end,
+                                 element.attributes)

@@ -7,7 +7,7 @@ asserts three equivalences over a battery of cross-document queries:
 1. *routing on vs routing off*: the summary-routed run and the
    visit-everything run are byte-identical — pruning never changes
    answers, whatever state the random edits left the summary in;
-2. *fan-out modes*: serial, threaded, and process execution of the
+2. *fan-out modes*: serial and process execution of the
    routed query merge to byte-identical results;
 3. *witness*: an independent per-document loop — load every document,
    evaluate the per-document expression unindexed, flatten — agrees
@@ -106,12 +106,11 @@ def _check_batch(service: DocumentService) -> None:
     for expression in QUERIES:
         routed = corpus.query(expression, routing=True)
         unrouted = corpus.query(expression, routing=False)
-        threaded = corpus.query(expression, mode="thread", workers=3)
         process = corpus.query(expression, mode="process", workers=2)
         witness = _witness(service, expression)
         assert routed.hits == unrouted.hits == witness, expression
-        assert routed.hits == threaded.hits == process.hits, expression
-        assert routed.documents == threaded.documents == process.documents
+        assert routed.hits == process.hits, expression
+        assert routed.documents == process.documents
         assert routed.plan.routed_count <= unrouted.plan.routed_count
     # Maintenance invariant: the delta-patched summary rows equal the
     # from-scratch derivation for every document.

@@ -1,12 +1,14 @@
 """Persistent element identity: the round-trip contract.
 
 The birth ordinal of every element is its persistent ``elem_id`` —
-both storage backends store it, reconstruction preserves it, and the
-fresh-ordinal counter resumes past the loaded maximum.  The property
-asserted here is the strong form: after ``save → load → edit →
-save_indexed → load``, the reloaded document is indistinguishable from
-a never-persisted replica that underwent the same edits — ordinals,
-document order, and ``explain()`` plans byte-for-byte.
+the sqlite rows and the GDAG1 archive format both store it,
+reconstruction preserves it, and the fresh-ordinal counter resumes past
+the loaded maximum.  The property asserted here is the strong form:
+after ``save → load → edit → save → load`` (through the sqlite store's
+``save_indexed``, or through ``save_file``/``load_file`` archives), the
+reloaded document is indistinguishable from a never-persisted replica
+that underwent the same edits — ordinals, document order, and
+``explain()`` plans byte-for-byte.
 """
 
 import random
@@ -17,11 +19,11 @@ from repro.core.goddag import GoddagBuilder
 from repro.editing import Editor
 from repro.errors import EditError, MarkupConflictError
 from repro.index import IndexManager
-from repro.storage import GoddagStore
+from repro.storage import GoddagStore, load_file, save_file
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
 
-from _helpers import location
+from _helpers import SOURCES, location, stored_form
 
 EDIT_TAGS = ("seg", "note", "mark")
 
@@ -75,35 +77,44 @@ def random_edits(document, seed, steps=25, removals=True):
             pass  # identical failure on identical replicas; keep going
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "binary"])
+def round_trip(medium, document, tmp_path):
+    """Persist ``document`` and read it back: through the sqlite store
+    (``save_indexed``, replacing any earlier save) for ``"sqlite"``, or
+    through a GDAG1 archive (``save_file`` → ``load_file``) for
+    ``"binary"``."""
+    if medium == "binary":
+        path = tmp_path / "d.gdag"
+        save_file(document, path, "d")
+        return load_file(path)
+    with GoddagStore(location(tmp_path)) as store:
+        store.save_indexed(document, "d", IndexManager.for_document(document),
+                           overwrite=True)
+        return store.load("d")
+
+
+@pytest.mark.parametrize("medium", SOURCES)
 @pytest.mark.parametrize("seed", [3, 17])
 class TestIdentitySurvivesPersistence:
     def test_save_load_edit_save_load_matches_never_persisted(
-        self, backend, seed, tmp_path
+        self, medium, seed, tmp_path
     ):
         spec = WorkloadSpec(words=110, hierarchies=2,
                             overlap_density=0.3, seed=seed)
         persisted = generate(spec)
         witness = generate(spec)  # never touches storage
-        manager = IndexManager.for_document(persisted)
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
-            store.save_indexed(persisted, "d", manager)
-            loaded = store.load("d")
-            assert identity_census(loaded) == identity_census(witness)
-            # Edit the *reloaded* document and the witness identically:
-            # fresh ordinals must continue past the persisted maximum,
-            # exactly where the witness's counter stands.
-            random_edits(loaded, seed=seed * 7)
-            random_edits(witness, seed=seed * 7)
-            manager2 = IndexManager.for_document(loaded)
-            store.save_indexed(loaded, "d", manager2, overwrite=True)
-            reloaded = store.load("d")
-            assert identity_census(reloaded) == identity_census(witness)
-            assert not reloaded.check_invariants()
+        loaded = round_trip(medium, persisted, tmp_path)
+        assert identity_census(loaded) == identity_census(witness)
+        # Edit the *reloaded* document and the witness identically:
+        # fresh ordinals must continue past the persisted maximum,
+        # exactly where the witness's counter stands.
+        random_edits(loaded, seed=seed * 7)
+        random_edits(witness, seed=seed * 7)
+        reloaded = round_trip(medium, loaded, tmp_path)
+        assert identity_census(reloaded) == identity_census(witness)
+        assert not reloaded.check_invariants()
 
     def test_explain_plans_match_never_persisted(
-        self, backend, seed, tmp_path
+        self, medium, seed, tmp_path
     ):
         """The planner prices steps from candidate-list statistics whose
         order ties break on ordinals — identical identity must yield
@@ -115,27 +126,20 @@ class TestIdentitySurvivesPersistence:
                             overlap_density=0.3, seed=seed)
         persisted = generate(spec)
         witness = generate(spec)
-        manager = IndexManager.for_document(persisted)
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
-            store.save_indexed(persisted, "d", manager)
-            loaded = store.load("d")
-            random_edits(loaded, seed=seed + 1, removals=False)
-            random_edits(witness, seed=seed + 1, removals=False)
-            store.save_indexed(loaded, "d",
-                               IndexManager.for_document(loaded),
-                               overwrite=True)
-            reloaded = store.load("d")
-            IndexManager.for_document(reloaded)
-            IndexManager.for_document(witness)
-            for expression in QUERIES:
-                query = ExtendedXPath(expression)
-                ours = query.explain(reloaded).render()
-                theirs = query.explain(witness).render()
-                assert ours == theirs, expression
+        loaded = round_trip(medium, persisted, tmp_path)
+        random_edits(loaded, seed=seed + 1, removals=False)
+        random_edits(witness, seed=seed + 1, removals=False)
+        reloaded = round_trip(medium, loaded, tmp_path)
+        IndexManager.for_document(reloaded)
+        IndexManager.for_document(witness)
+        for expression in QUERIES:
+            query = ExtendedXPath(expression)
+            ours = query.explain(reloaded).render()
+            theirs = query.explain(witness).render()
+            assert ours == theirs, expression
 
     def test_answers_match_never_persisted_with_removals(
-        self, backend, seed, tmp_path
+        self, medium, seed, tmp_path
     ):
         """With removals in the script, leaf refinement may differ
         between replicas, but every query *answer* must still match —
@@ -144,31 +148,24 @@ class TestIdentitySurvivesPersistence:
                             overlap_density=0.3, seed=seed)
         persisted = generate(spec)
         witness = generate(spec)
-        manager = IndexManager.for_document(persisted)
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
-            store.save_indexed(persisted, "d", manager)
-            loaded = store.load("d")
-            random_edits(loaded, seed=seed + 1)
-            random_edits(witness, seed=seed + 1)
-            store.save_indexed(loaded, "d",
-                               IndexManager.for_document(loaded),
-                               overwrite=True)
-            reloaded = store.load("d")
+        loaded = round_trip(medium, persisted, tmp_path)
+        random_edits(loaded, seed=seed + 1)
+        random_edits(witness, seed=seed + 1)
+        reloaded = round_trip(medium, loaded, tmp_path)
 
-            def snapshot(value):
-                if not isinstance(value, list):
-                    return value
-                return [
-                    (n.hierarchy, n.tag, n.start, n.end, n.elem_id,
-                     tuple(sorted(n.attributes.items())))
-                    for n in value
-                ]
+        def snapshot(value):
+            if not isinstance(value, list):
+                return value
+            return [
+                (n.hierarchy, n.tag, n.start, n.end, n.elem_id,
+                 tuple(sorted(n.attributes.items())))
+                for n in value
+            ]
 
-            for expression in QUERIES:
-                query = ExtendedXPath(expression)
-                assert snapshot(query.evaluate(reloaded)) == \
-                    snapshot(query.evaluate(witness)), expression
+        for expression in QUERIES:
+            query = ExtendedXPath(expression)
+            assert snapshot(query.evaluate(reloaded)) == \
+                snapshot(query.evaluate(witness)), expression
 
 
 class TestCrossSessionHandles:
@@ -181,14 +178,13 @@ class TestCrossSessionHandles:
         builder.add_annotation("l", "s", 4, 19, {"n": "1"})
         return builder.build()
 
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
-    def test_handle_resolves_across_sessions(self, backend, tmp_path):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_handle_resolves_across_sessions(self, source, tmp_path):
         document = self._narrative()
         target = next(document.elements(tag="s"))
         handle = target.elem_id
-        with GoddagStore(location(backend, tmp_path),
-                         backend=backend) as store:
-            store.save(document, "d")
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, document, tmp_path), "d")
             # Storage-level resolution: no document materialized.
             stored = store.element("d", handle)
             assert (stored.tag, stored.start, stored.end) == ("s", 4, 19)
@@ -219,8 +215,7 @@ class TestCrossSessionHandles:
 
     def test_ordinals_never_collide_after_reload(self, tmp_path):
         document = self._narrative()
-        with GoddagStore(location("sqlite", tmp_path),
-                         backend="sqlite") as store:
+        with GoddagStore(location(tmp_path)) as store:
             store.save(document, "d")
             loaded = store.load("d")
             highest = max(e.elem_id for e in loaded.elements())

@@ -2,24 +2,26 @@
 
 Covers the three indexes and the manager in isolation, the engine
 equivalence guarantee (indexed query results byte-identical to the
-unindexed engine), and index persistence on both storage backends.
+unindexed engine), and index persistence in the sqlite store, for
+documents stored as built and imported from their GDAG1 archives.
 """
 
 import pytest
 
 from repro.core.goddag import GoddagBuilder
 from repro.index import (
+    HierarchyIntervals,
     IndexManager,
     OverlapIndex,
     StructuralSummary,
     TermIndex,
-    read_sidecar,
     tokenize,
-    write_sidecar,
 )
 from repro.storage import GoddagStore
 from repro.workloads import WorkloadSpec, generate
 from repro.xpath import ExtendedXPath
+
+from _helpers import SOURCES, location, stored_form
 
 
 def small_document():
@@ -101,7 +103,7 @@ class TestTermIndex:
 
     def test_items_roundtrip(self):
         index = TermIndex.from_text("a song of song")
-        rebuilt = TermIndex.from_items(index.text_length, index.items())
+        rebuilt = TermIndex(index.text_length, dict(index.items()))
         assert rebuilt.postings("song") == index.postings("song")
         assert rebuilt.occurrences("on") == index.occurrences("on")
 
@@ -214,7 +216,11 @@ class TestOverlapIndex:
 
     def test_payload_roundtrip(self, corpus):
         index = OverlapIndex.from_document(corpus)
-        rebuilt = OverlapIndex.from_payload(index.payload())
+        rebuilt = OverlapIndex({
+            name: HierarchyIntervals(
+                name, entry["starts"], entry["ends"], entry["tags"])
+            for name, entry in index.payload().items()
+        })
         assert rebuilt.intersecting(90, 200) == index.intersecting(90, 200)
         assert rebuilt.element_count() == index.element_count()
 
@@ -324,48 +330,13 @@ class TestEngineEquivalence:
         assert plain == indexed == bound
 
 
-# -- sidecar I/O ---------------------------------------------------------------
-
-class TestSidecar:
-    def test_roundtrip(self, corpus, tmp_path):
-        payload = IndexManager(corpus).payload("ms")
-        path = tmp_path / "ms.gidx"
-        write_sidecar(path, payload)
-        back = read_sidecar(path)
-        assert back["overlap"] == payload["overlap"]
-        assert back["terms"] == payload["terms"]
-        assert [tuple(r) for r in back["paths"]] == (
-            [tuple(r) for r in payload["paths"]]
-        )
-
-    def test_partial_read(self, corpus, tmp_path):
-        payload = IndexManager(corpus).payload("ms")
-        path = tmp_path / "ms.gidx"
-        write_sidecar(path, payload)
-        overlap_only = read_sidecar(path, sections=("overlap",))
-        assert "overlap" in overlap_only
-        assert "terms" not in overlap_only and "paths" not in overlap_only
-
-    def test_bad_magic(self, tmp_path):
-        from repro.errors import StorageError
-
-        path = tmp_path / "junk.gidx"
-        path.write_bytes(b"NOPE\n\x00\x00\x00\x00")
-        with pytest.raises(StorageError):
-            read_sidecar(path)
-
-
 # -- storage persistence -------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["sqlite", "binary"])
+@pytest.mark.parametrize("source", SOURCES)
 class TestStoredIndexes:
-    def _store(self, backend, tmp_path):
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
-        return GoddagStore(location, backend=backend)
-
-    def test_query_spans_indexed_equals_fallback(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_query_spans_indexed_equals_fallback(self, source, tmp_path, corpus):
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, corpus, tmp_path), "ms")
             windows = [(0, 60), (100, 101), (250, 500), (0, corpus.length)]
             plain = [store.query_spans("ms", s, e) for s, e in windows]
             store.build_index("ms")
@@ -373,19 +344,18 @@ class TestStoredIndexes:
             for (s, e), expected in zip(windows, plain):
                 assert store.query_spans("ms", s, e) == expected
 
-    def test_index_survives_reopen(self, backend, tmp_path, corpus):
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
-        with GoddagStore(location, backend=backend) as store:
-            store.save(corpus, "ms")
+    def test_index_survives_reopen(self, source, tmp_path, corpus):
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, corpus, tmp_path), "ms")
             store.build_index("ms")
             expected = store.query_spans("ms", 90, 180)
-        with GoddagStore(location, backend=backend) as fresh:
+        with GoddagStore(location(tmp_path)) as fresh:
             assert fresh.has_index("ms")
             assert fresh.query_spans("ms", 90, 180) == expected
 
-    def test_term_occurrences(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_term_occurrences(self, source, tmp_path, corpus):
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, corpus, tmp_path), "ms")
             store.build_index("ms")
             text = corpus.text
             for needle in ("gar", "aeth", "zzz"):
@@ -395,67 +365,68 @@ class TestStoredIndexes:
                     position = text.find(needle, position + 1)
                 assert store.term_occurrences("ms", needle) == brute
 
-    def test_count_tag(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_count_tag(self, source, tmp_path, corpus):
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, corpus, tmp_path), "ms")
             unindexed = store.count_tag("ms", "line")
             store.build_index("ms")
             assert store.count_tag("ms", "line") == unindexed
             assert store.count_tag("ms", "nope") == 0
 
-    def test_overwrite_drops_index(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_overwrite_drops_index(self, source, tmp_path, corpus):
+        document = stored_form(source, corpus, tmp_path)
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(document, "ms")
             store.build_index("ms")
-            store.save(corpus, "ms", overwrite=True)
+            store.save(document, "ms", overwrite=True)
             assert not store.has_index("ms")
             # Fallback still answers correctly.
             hits = store.query_spans("ms", 0, 80)
             assert hits == store.elements_intersecting("ms", 0, 80) or hits
 
-    def test_drop_index(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_drop_index(self, source, tmp_path, corpus):
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, corpus, tmp_path), "ms")
             store.build_index("ms")
             store.drop_index("ms")
             assert not store.has_index("ms")
 
-    def test_delete_document_removes_index(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_delete_document_removes_index(self, source, tmp_path, corpus):
+        document = stored_form(source, corpus, tmp_path)
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(document, "ms")
             store.build_index("ms")
             store.delete("ms")
             assert not store.has("ms")
-            store.save(corpus, "ms")
+            store.save(document, "ms")
             assert not store.has_index("ms")
 
-    def test_separator_tags_index_on_both_backends(self, backend, tmp_path):
+    def test_separator_tags_index_on_both_backends(self, source, tmp_path):
         builder = GoddagBuilder("hello world")
         builder.add_hierarchy("h")
         builder.add_annotation("h", "a", 0, 5)
         builder.add_annotation("h", "b", 0, 5)
         builder.add_annotation("h", "a/b", 6, 11)
-        document = builder.build()
-        with self._store(backend, tmp_path) as store:
+        document = stored_form(source, builder.build(), tmp_path)
+        with GoddagStore(location(tmp_path)) as store:
             store.save(document, "d")
             store.build_index("d")  # must not collide on the path key
             assert store.count_tag("d", "a/b") == 1
             assert store.count_tag("d", "b") == 1
             assert ("h", "a/b", 6, 11) in store.query_spans("d", 0, 11)
 
-    def test_second_store_rewrite_is_seen(self, backend, tmp_path):
+    def test_second_store_rewrite_is_seen(self, source, tmp_path):
         """Two stores on one location: a rewrite + reindex through store B
-        must not leave store A serving the old index from its cache."""
-        location = tmp_path / ("db.sqlite" if backend == "sqlite" else "docs")
+        must not leave store A serving the old index."""
 
         def doc(tag, text):
             builder = GoddagBuilder(text)
             builder.add_hierarchy("p")
             builder.add_annotation("p", tag, 0, 4)
-            return builder.build()
+            return stored_form(source, builder.build(), tmp_path)
 
-        store_a = GoddagStore(location, backend=backend)
-        store_b = GoddagStore(location, backend=backend)
+        store_a = GoddagStore(location(tmp_path))
+        store_b = GoddagStore(location(tmp_path))
         try:
             store_a.save(doc("x", "abcd efgh"), "d")
             store_a.build_index("d")
@@ -470,20 +441,15 @@ class TestStoredIndexes:
             store_a.close()
             store_b.close()
 
-    def test_payload_roundtrip_through_backend(self, backend, tmp_path, corpus):
-        with self._store(backend, tmp_path) as store:
-            store.save(corpus, "ms")
+    def test_payload_roundtrip_through_backend(self, source, tmp_path, corpus):
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, corpus, tmp_path), "ms")
             store.build_index("ms")
             payload = IndexManager(corpus).payload("ms")
-            if backend == "sqlite":
-                stored = store._sqlite.load_index("ms")
-                assert stored["terms"] == payload["terms"]
-                for name, entry in payload["overlap"].items():
-                    got = stored["overlap"][name]
-                    assert sorted(zip(got["starts"], got["ends"], got["tags"])) \
-                        == sorted(zip(entry["starts"], entry["ends"],
-                                      entry["tags"]))
-            else:
-                stored = read_sidecar(store._sidecar_file("ms"))
-                assert stored["overlap"] == payload["overlap"]
-                assert stored["terms"] == payload["terms"]
+            stored = store._sqlite.load_index("ms")
+            assert stored["terms"] == payload["terms"]
+            for name, entry in payload["overlap"].items():
+                got = stored["overlap"][name]
+                assert sorted(zip(got["starts"], got["ends"], got["tags"])) \
+                    == sorted(zip(entry["starts"], entry["ends"],
+                                  entry["tags"]))

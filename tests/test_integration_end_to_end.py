@@ -23,6 +23,7 @@ from repro import (
     validate_document,
     xpath,
 )
+from repro.storage import load_file, save_file
 from repro.workloads import figure_one_document
 
 
@@ -82,12 +83,14 @@ class TestAuthorThenQueryThenStore:
             hop2 = store.load("edition")
         assert [(w.start, w.end) for w in query.nodes(hop2)] == reference
 
-        # hop 3: binary storage round trip
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
-            store.save(hop2, "edition")
-            hop3 = store.load("edition")
+        # hop 3: GDAG1 archive round trip (export, then import)
+        archive = tmp_path / "edition.gdag"
+        save_file(hop2, archive, "edition")
+        hop3 = load_file(archive)
         assert [(w.start, w.end) for w in query.nodes(hop3)] == reference
         assert documents_isomorphic(edition, hop3)
+        assert sorted(e.elem_id for e in hop3.elements()) == \
+            sorted(e.elem_id for e in edition.elements())
 
     def test_projection_drops_cross_hierarchy_answers(self, edition):
         phys_only = project(edition, ["phys"])

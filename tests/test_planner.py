@@ -24,6 +24,8 @@ from repro.xpath.optimizer import (
 )
 from repro.xpath.parser import parse_xpath
 
+from _helpers import SOURCES, location, stored_form
+
 
 def snapshot(value):
     if not isinstance(value, list):
@@ -284,13 +286,10 @@ class TestAttributeIndex:
                     "postings", "attr_keys", "attr_postings", "builds",
                     "deltas", "stale"):
             assert f"index.{key}" in counts, key
-            assert key in stats, key  # legacy keys answer via the shim
+            assert key not in stats, key  # no flat pre-envelope keys
         assert counts["index.attr_postings"] >= counts["index.attr_keys"] > 0
         assert counts["index.postings"] >= counts["index.terms"] > 0
-        # The one-release shim resolves a legacy key to the new value,
-        # but loudly.
-        with pytest.warns(DeprecationWarning, match="index.builds"):
-            assert stats["builds"] == counts["index.builds"]
+        assert counts["index.builds"] == manager.build_count == 1
 
 
 class TestExplainSurface:
@@ -325,12 +324,11 @@ class TestExplainSurface:
 
 
 class TestStoredAttributeCounts:
-    @pytest.mark.parametrize("backend", ["sqlite", "binary"])
-    def test_count_attribute_indexed_vs_fallback(self, backend, tmp_path):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_count_attribute_indexed_vs_fallback(self, source, tmp_path):
         document = generate(WorkloadSpec(words=160, hierarchies=3, seed=6))
-        where = tmp_path / ("s.sqlite" if backend == "sqlite" else "docs")
-        with GoddagStore(where, backend=backend) as store:
-            store.save(document, "ms")
+        with GoddagStore(location(tmp_path)) as store:
+            store.save(stored_form(source, document, tmp_path), "ms")
             unindexed = store.count_attribute("ms", "n", "2")
             assert unindexed == sum(
                 1 for e in document.elements()

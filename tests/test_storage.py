@@ -1,4 +1,5 @@
-"""Tests for the persistent storage layer (both backends)."""
+"""Tests for the persistent storage layer: the sqlite store and the
+GDAG1 archive format."""
 
 import pytest
 
@@ -271,32 +272,28 @@ class TestGoddagStoreFacade:
             assert documents_isomorphic(doc, store.load("f"))
 
     def test_binary_facade(self, doc, tmp_path):
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
+        """The GDAG1 archive is the store's export/import format:
+        ``save_file(store.load(name), path, name)`` and back."""
+        archive = tmp_path / "f.gdag"
+        with GoddagStore() as store:
             store.save(doc, "f")
-            assert store.names() == ["f"]
-            assert documents_isomorphic(doc, store.load("f"))
+            save_file(store.load("f"), archive, "f")
             store.delete("f")
             assert store.names() == []
-
-    def test_binary_needs_directory(self):
-        with pytest.raises(StorageError):
-            GoddagStore(backend="binary")
+            store.save(load_file(archive), "f")
+            assert store.names() == ["f"]
+            assert documents_isomorphic(doc, store.load("f"))
 
     def test_unknown_backend(self):
-        with pytest.raises(StorageError):
-            GoddagStore(backend="papyrus")
+        with pytest.raises(TypeError):
+            GoddagStore(backend="binary")  # one backend: no selector
 
     def test_facade_span_query_agreement(self, doc, tmp_path):
+        """Stored element rows and an exported archive's table scan
+        report the same spans."""
+        archive = tmp_path / "f.gdag"
         with GoddagStore() as sql_store:
             sql_store.save(doc, "f")
             sql_hits = set(sql_store.elements_intersecting("f", 10, 40))
-        with GoddagStore(tmp_path / "docs", backend="binary") as bin_store:
-            bin_store.save(doc, "f")
-            bin_hits = set(bin_store.elements_intersecting("f", 10, 40))
-        assert sql_hits == bin_hits
-
-    def test_binary_overlap_join_unsupported(self, doc, tmp_path):
-        with GoddagStore(tmp_path / "docs", backend="binary") as store:
-            store.save(doc, "f")
-            with pytest.raises(StorageError):
-                store.overlapping_pairs("f", "a", "b")
+            save_file(sql_store.load("f"), archive, "f")
+        assert sql_hits == set(scan_spans(archive, 10, 40))

@@ -129,7 +129,7 @@ def stored_rows(path: str) -> dict[str, list]:
 
 def save_materialized(sources, path: str) -> None:
     document = parse_concurrent(sources)
-    with GoddagStore(path, backend="sqlite") as store:
+    with GoddagStore(path) as store:
         store.save_indexed(document, "doc", manager=IndexManager(document))
 
 
@@ -380,14 +380,13 @@ class TestStreamSave:
         sources = sources_for("two-overlapping")
         path = str(tmp_path / "doc.db")
         save_streaming(sources, path)
-        with GoddagStore(path, backend="sqlite") as store:
+        with GoddagStore(path) as store:
             document = store.load("doc")
             assert census(document) == census(parse_concurrent(sources))
             assert store.has_index("doc")
 
     def test_store_facade_save_stream(self, tmp_path):
-        with GoddagStore(str(tmp_path / "doc.db"),
-                         backend="sqlite") as store:
+        with GoddagStore(str(tmp_path / "doc.db")) as store:
             stamp = store.save_stream(HAND, "doc")
             assert stamp
             assert store.names() == ["doc"]
@@ -583,8 +582,7 @@ class TestLazyDocument:
         assert lazy.rows_decoded == first
 
     def test_lazy_facade_requires_sqlite(self, tmp_path):
-        with GoddagStore(str(tmp_path / "doc.db"),
-                         backend="sqlite") as store:
+        with GoddagStore(str(tmp_path / "doc.db")) as store:
             store.save_stream(HAND, "doc")
             lazy = store.lazy("doc")
             assert lazy.root_tag == "d"
